@@ -1,14 +1,12 @@
-"""Stage-fusion A/B: dispatched stages and wall time, fused vs legacy eager.
+"""Stage-fusion gate: dispatched stages per DBTF iteration and wall time.
 
-The plan layer's claim (DESIGN.md §10): fusing each maximal chain of
-narrow transformations into one dispatch cuts the per-iteration stage
-count of a DBTF run by at least 30% — one scheduler wave, span, and
-driver round-trip per chain instead of per transformation — while the
-factor bit-patterns, the error trace, and every ledger byte total stay
-identical.  This benchmark measures both modes on the same fixed-seed
-planted tensor, derives the *per-iteration* stage counts from the
+The plan layer's claim (DESIGN.md §10): each maximal chain of narrow
+transformations runs as one dispatch, so a DBTF iteration costs exactly
+one stage per factor column — ``3 * rank`` stages, 6 at rank 2.  The cache
+build fuses into the first column stage of each mode and the collects add
+none.  This benchmark derives the *per-iteration* stage count from the
 difference between a 2-iteration and a 1-iteration run (subtracting the
-shared setup), asserts the equivalence + reduction contract, and writes
+shared setup), asserts that absolute count, and writes
 ``BENCH_plan.json``::
 
     python benchmarks/bench_plan.py [--smoke]
@@ -34,33 +32,21 @@ from _emit import best_wall_time, emit, entry  # noqa: E402
 N_MACHINES = 4
 
 
-def _run(tensor, rank, max_iterations, n_partitions, eager):
-    """One decomposition; returns (fingerprint, n_stages, simulated_s)."""
+def _run(tensor, rank, max_iterations, n_partitions):
+    """One decomposition; returns (n_stages, simulated_s)."""
     with SimulatedRuntime(
-        ClusterConfig(n_machines=N_MACHINES, cores_per_machine=2, eager=eager)
+        ClusterConfig(n_machines=N_MACHINES, cores_per_machine=2)
     ) as runtime:
         result = dbtf(tensor, rank=rank, max_iterations=max_iterations,
                       n_partitions=n_partitions, seed=0, runtime=runtime)
-        # Task-payload bytes are excluded: fusion dispatches one composed
-        # payload per chain where eager ships one per hop, so TASK totals
-        # legitimately differ between the modes.
-        fingerprint = (
-            tuple(factor.words.tobytes() for factor in result.factors),
-            tuple(result.errors_per_iteration),
-            result.report.shuffle_bytes,
-            result.report.broadcast_bytes,
-            result.report.collect_bytes,
-        )
-        return fingerprint, result.report.n_stages, runtime.simulated_time(
-            N_MACHINES
-        )
+        return result.report.n_stages, runtime.simulated_time(N_MACHINES)
 
 
 def measure(dim: int, rank: int, n_partitions: int, iterations: int = 2):
-    """Fused-vs-eager comparison on one planted tensor.
+    """Stage counts and timings of one planted tensor.
 
-    Returns ``(records, summary)``: the ``_emit`` entries for both modes
-    and a dict with the per-iteration stage counts and the reduction.
+    Returns ``(records, summary)``: the ``_emit`` entry and a dict with
+    the per-iteration stage count.
     """
     tensor, _ = planted_tensor(
         (dim, dim, dim), rank=rank, factor_density=0.3,
@@ -68,49 +54,23 @@ def measure(dim: int, rank: int, n_partitions: int, iterations: int = 2):
     )
     params = {"dim": dim, "rank": rank, "n_partitions": n_partitions,
               "iterations": iterations}
-
-    records = []
-    stages = {}
-    per_iteration = {}
-    for mode, eager in (("fused", False), ("eager", True)):
-        wall, (fingerprint, n_stages, simulated) = best_wall_time(
-            lambda eager=eager: _run(tensor, rank, iterations, n_partitions,
-                                     eager),
-            repeats=2,
-        )
-        _, short_stages, _ = _run(tensor, rank, 1, n_partitions, eager)
-        stages[mode] = {"fingerprint": fingerprint, "total": n_stages}
-        per_iteration[mode] = n_stages - short_stages
-        records.append(
-            entry(f"dbtf_{mode}", {**params, "stages_dispatched": n_stages,
-                                   "stages_per_iteration": per_iteration[mode]},
-                  wall_s=wall, simulated_s=simulated)
-        )
-
-    # The equivalence half of the contract: fusion may only change *how
-    # many* stages run, never what they compute or meter.
-    if stages["fused"]["fingerprint"] != stages["eager"]["fingerprint"]:
-        raise AssertionError(
-            "fused and eager runs diverged: factors / errors / ledger bytes "
-            "must be bit-identical"
-        )
-    reduction = 1.0 - per_iteration["fused"] / per_iteration["eager"]
-    if reduction < 0.30:
-        raise AssertionError(
-            f"per-iteration stage reduction {reduction:.1%} is below the 30% "
-            f"floor (fused {per_iteration['fused']}, "
-            f"eager {per_iteration['eager']})"
-        )
-    summary = {
-        "stages_per_iteration_fused": per_iteration["fused"],
-        "stages_per_iteration_eager": per_iteration["eager"],
-        "reduction": reduction,
-    }
-    records.append(
-        entry("stage_reduction_per_iteration", {**params, **summary},
-              wall_s=0.0, simulated_s=None)
+    wall, (n_stages, simulated) = best_wall_time(
+        lambda: _run(tensor, rank, iterations, n_partitions), repeats=2,
     )
-    return records, summary
+    short_stages, _ = _run(tensor, rank, 1, n_partitions)
+    per_iteration = n_stages - short_stages
+    expected = 3 * rank
+    if per_iteration != expected:
+        raise AssertionError(
+            f"{per_iteration} stages per iteration at rank {rank}; one "
+            f"fused stage per factor column means exactly {expected}"
+        )
+    records = [
+        entry("dbtf_fused", {**params, "stages_dispatched": n_stages,
+                             "stages_per_iteration": per_iteration},
+              wall_s=wall, simulated_s=simulated)
+    ]
+    return records, {"stages_per_iteration": per_iteration}
 
 
 def main(argv=None) -> int:
@@ -126,11 +86,7 @@ def main(argv=None) -> int:
 
     records, summary = measure(args.dim, args.rank, args.partitions)
     emit("BENCH_plan.json", records)
-    print(
-        f"stages/iteration: fused={summary['stages_per_iteration_fused']} "
-        f"eager={summary['stages_per_iteration_eager']} "
-        f"(-{summary['reduction']:.1%})"
-    )
+    print(f"stages/iteration: {summary['stages_per_iteration']}")
     return 0
 
 

@@ -7,7 +7,6 @@ Public kernels (:func:`boolean_matmul`, :func:`khatri_rao`,
 call shape (heuristic, autotuned, or forced — see ``configure_kernels``).
 """
 
-from ._numba import HAS_NUMBA
 from .bitmatrix import BitMatrix
 from .dispatch import (
     KernelDispatcher,
@@ -39,7 +38,6 @@ from .packing import (
 __all__ = [
     "BitMatrix",
     "WORD_BITS",
-    "HAS_NUMBA",
     "KernelDispatcher",
     "boolean_matmul",
     "khatri_rao",

@@ -2,10 +2,9 @@
 
 Every Boolean kernel in :mod:`repro.bitops` (the Boolean matrix product,
 the Khatri-Rao product, the pointwise vector-matrix product, and the
-``xor_popcount`` family) has *several* registered implementations — the
-per-row reference loop, the vectorized path that previously was the only
-alternative, a numpy-bulk path, and (when the host has Numba) a compiled
-path.  This module decides, per call shape, which one runs:
+``xor_popcount`` family) has a per-row reference loop plus the vectorized
+paths that win some shape class.  This module decides, per call shape,
+which one runs:
 
 * **Registry.**  :func:`register_kernel` / :func:`register_impl` record
   each implementation with its eligibility constraints (e.g. the byte-view
@@ -29,8 +28,10 @@ path.  This module decides, per call shape, which one runs:
     operands) and the winner is recorded;
   - ``"reference"``: always the reference (loop-form) implementation;
   - any registered implementation name (``"rowloop"``, ``"batched"``,
-    ``"bulk"``, ``"numba"``, ...): force that implementation where the
-    kernel registers it (and it is eligible), heuristics elsewhere.
+    ``"bulk"``, ...): force that implementation where the kernel
+    registers it (and it is eligible), heuristics elsewhere.  A name in
+    :data:`RETIRED_IMPLS` is accepted the same way and, since no kernel
+    registers it any more, means the fixed tier everywhere.
 
 * **Shape classes.**  Calls are bucketed by the bit length of each
   dimension (``0, 1, 2, 3-4, 5-8, ...``), so one measurement covers a
@@ -42,7 +43,9 @@ path.  This module decides, per call shape, which one runs:
   ``os.replace`` pattern of :mod:`repro.resilience.checkpoint`, so
   concurrent writers can race but never torn-write.  A missing, corrupt,
   stale-version, or other-machine cache silently falls back to defaults —
-  the cache is an accelerator, never a correctness dependency.
+  the cache is an accelerator, never a correctness dependency.  A cached
+  winner naming a retired implementation resolves to the fixed-tier
+  choice.
 
 Dispatch decisions are observable: the kernel wrappers in
 :mod:`repro.bitops.ops` attach the winning implementation as the
@@ -68,6 +71,7 @@ __all__ = [
     "TIER_AUTO",
     "TIER_REFERENCE",
     "TIERS",
+    "RETIRED_IMPLS",
     "ENV_TIER",
     "ENV_CACHE",
     "ImplSpec",
@@ -90,6 +94,11 @@ TIER_FIXED = "fixed"
 TIER_AUTO = "auto"
 TIER_REFERENCE = "reference"
 TIERS = (TIER_FIXED, TIER_AUTO, TIER_REFERENCE)
+
+#: Implementations deleted because they won no shape class.  Forced tiers
+#: and autotune-cache entries written before the deletion may still name
+#: them; both resolve to the fixed-tier choice instead of failing.
+RETIRED_IMPLS = frozenset({"bytelut", "dense", "numba"})
 
 ENV_TIER = "REPRO_KERNEL_TIER"
 ENV_CACHE = "REPRO_AUTOTUNE_CACHE"
@@ -384,7 +393,7 @@ class KernelDispatcher:
         cache_path: "str | os.PathLike | None" = None,
         autotune_repeats: int = _AUTOTUNE_REPEATS,
     ):
-        if tier not in TIERS and tier not in _impl_names():
+        if tier not in TIERS and tier not in _impl_names() | RETIRED_IMPLS:
             raise ValueError(
                 f"unknown kernel tier {tier!r}; expected one of {TIERS} "
                 f"or an implementation name {sorted(_impl_names())}"
@@ -430,6 +439,8 @@ class KernelDispatcher:
                 spec = entry.impls.get(winner)
                 if spec is not None and spec.eligible():
                     return spec
+                if winner in RETIRED_IMPLS:
+                    return self._fixed(entry, shape)
             if args is not None:
                 return self._autotune_call(entry, key, args)
         return self._fixed(entry, shape)

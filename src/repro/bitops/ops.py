@@ -6,9 +6,8 @@ the pointwise vector-matrix product (Eq. 4).
 
 Every public kernel here is a thin wrapper over the dispatch tier
 (:mod:`repro.bitops.dispatch`): several implementations of each kernel are
-registered at the bottom of this module — the loop-form reference, the
-vectorized paths, and (when available) a Numba-compiled path — and the
-dispatcher picks one per call shape.  All registered implementations are
+registered at the bottom of this module — the loop-form reference and
+the vectorized paths — and the dispatcher picks one per call shape.  All registered implementations are
 pinned bit-identical by ``tests/test_bitops_differential.py``, so dispatch
 decisions change speed, never results.  The chosen implementation is
 surfaced as the ``impl=`` attribute of each ``kernel_span`` and counted in
@@ -22,7 +21,7 @@ import sys
 import numpy as np
 
 from ..observability.trace import kernel_span, record_metric
-from . import _numba, dispatch, packing
+from . import dispatch, packing
 from .bitmatrix import BitMatrix
 
 __all__ = [
@@ -61,8 +60,7 @@ def boolean_matmul(left: BitMatrix, right: BitMatrix) -> BitMatrix:
     ``left``'s row *i* (Lemma 1).  The dispatch tier picks one of the
     registered implementations per call shape: the per-row reference loop,
     the byte-group table gather (:func:`or_accumulate_table` per 8 inner
-    columns), a numpy-bulk reduction, or a compiled path when Numba is
-    present.
+    columns), or a numpy-bulk reduction.
     """
     if left.n_cols != right.n_rows:
         raise ValueError(
@@ -120,14 +118,6 @@ def _boolean_matmul_bulk(left: BitMatrix, right: BitMatrix) -> BitMatrix:
         np.uint64(0),
     )
     out_words = np.bitwise_or.reduce(selected, axis=1)
-    return BitMatrix(left.n_rows, right.n_cols, out_words)
-
-
-def _boolean_matmul_numba(left: BitMatrix, right: BitMatrix) -> BitMatrix:
-    """Compiled bit-scan OR-accumulate (registered only when Numba exists)."""
-    out_words = _numba.boolean_matmul_words(
-        left.words, right.words, right.words.shape[1]
-    )
     return BitMatrix(left.n_rows, right.n_cols, out_words)
 
 
@@ -221,8 +211,7 @@ def pointwise_vector_matrix(vector: np.ndarray, matrix: BitMatrix) -> BitMatrix:
 
     Column *r* of the result is ``v[r] * M[:, r]`` — i.e. columns of ``M``
     are kept where the vector is 1 and zeroed where it is 0.  Dispatched
-    over the registered implementations (packed-mask AND, per-row loop,
-    dense roundtrip).
+    over the registered implementations (packed-mask AND, per-row loop).
     """
     vector = np.asarray(vector).ravel()
     if vector.shape[0] != matrix.n_cols:
@@ -254,13 +243,6 @@ def _pointwise_rowloop(vector: np.ndarray, matrix: BitMatrix) -> BitMatrix:
     return BitMatrix(matrix.n_rows, matrix.n_cols, out_words)
 
 
-def _pointwise_dense(vector: np.ndarray, matrix: BitMatrix) -> BitMatrix:
-    """Unpack, zero the masked columns densely, re-pack."""
-    dense = matrix.to_dense()
-    dense[:, ~vector.astype(bool)] = 0
-    return BitMatrix(matrix.n_rows, matrix.n_cols, packing.pack_bits(dense))
-
-
 def _pointwise_args(shape, rng):
     rows, cols = shape
     vector = (rng.random(cols) < 0.5).astype(np.uint8)
@@ -273,8 +255,8 @@ def _pointwise_args(shape, rng):
 def xor_popcount(a: np.ndarray, b: np.ndarray) -> int:
     """Total ``popcount(a ^ b)`` — Hamming distance of packed word arrays.
 
-    Dispatched over the fused ``bitwise_count`` path, the byte-LUT path,
-    and the compiled path when Numba is present.  No ``kernel_span`` is
+    Dispatched over the fused ``bitwise_count`` path and the two-pass
+    reference.  No ``kernel_span`` is
     opened (this runs inside already-traced worker spans on the hot path);
     the dispatch decision is still counted in ``kernel_dispatch_total``.
     """
@@ -393,7 +375,6 @@ def _register_kernels() -> None:
     dispatch.register_impl(
         "pointwise_vector_matrix", "mask", _pointwise_mask, default=True
     )
-    dispatch.register_impl("pointwise_vector_matrix", "dense", _pointwise_dense)
 
     dispatch.register_kernel(
         "xor_popcount",
@@ -405,9 +386,6 @@ def _register_kernels() -> None:
     )
     dispatch.register_impl(
         "xor_popcount", "fused", packing.xor_popcount, default=True
-    )
-    dispatch.register_impl(
-        "xor_popcount", "bytelut", packing.xor_popcount_bytelut
     )
 
     dispatch.register_kernel(
@@ -421,20 +399,6 @@ def _register_kernels() -> None:
     dispatch.register_impl(
         "xor_popcount_rows", "fused", packing.xor_popcount_rows, default=True
     )
-    dispatch.register_impl(
-        "xor_popcount_rows", "bytelut", packing.xor_popcount_rows_bytelut
-    )
-
-    if _numba.HAS_NUMBA:  # pragma: no cover - numba absent in CI
-        dispatch.register_impl(
-            "boolean_matmul", "numba", _boolean_matmul_numba
-        )
-        dispatch.register_impl(
-            "xor_popcount", "numba", _numba.xor_popcount_words
-        )
-        dispatch.register_impl(
-            "xor_popcount_rows", "numba", _numba.xor_popcount_rows_words
-        )
 
 
 _register_kernels()

@@ -24,8 +24,6 @@ __all__ = [
     "popcount_rows",
     "xor_popcount",
     "xor_popcount_rows",
-    "xor_popcount_bytelut",
-    "xor_popcount_rows_bytelut",
     "slice_bits",
     "mask_from_indices",
     "indices_from_mask",
@@ -100,38 +98,6 @@ def xor_popcount(a: np.ndarray, b: np.ndarray) -> int:
     """Total ``popcount(a ^ b)`` — the Hamming distance of packed arrays."""
     xored = np.bitwise_xor(a, b)
     return int(np.bitwise_count(xored, out=xored).sum(dtype=np.int64))
-
-
-#: Set-bit count of every byte value; popcount of a word is the sum of its
-#: bytes' popcounts regardless of endianness.
-_BYTE_POPCOUNT = (
-    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    .sum(axis=1)
-    .astype(np.int64)
-)
-
-
-def xor_popcount_rows_bytelut(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row ``popcount(a ^ b)`` via a 256-entry byte lookup table.
-
-    An alternative registered implementation for the dispatch tier: views
-    the XOR as bytes and gathers per-byte counts, which on some hosts
-    beats the ``bitwise_count`` path for wide rows.  Bit-identical to
-    :func:`xor_popcount_rows`.
-    """
-    xored = np.ascontiguousarray(np.bitwise_xor(a, b))
-    counts = _BYTE_POPCOUNT[xored.view(np.uint8)]
-    return counts.sum(axis=-1, dtype=np.int64)
-
-
-def xor_popcount_bytelut(a: np.ndarray, b: np.ndarray) -> int:
-    """Total ``popcount(a ^ b)`` via the byte lookup table.
-
-    Bit-identical to :func:`xor_popcount`; registered as an alternative
-    implementation for the dispatch tier.
-    """
-    xored = np.ascontiguousarray(np.bitwise_xor(a, b))
-    return int(_BYTE_POPCOUNT[xored.view(np.uint8)].sum(dtype=np.int64))
 
 
 def slice_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:

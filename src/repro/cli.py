@@ -91,15 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     factorize.add_argument("--workers", type=int, default=None,
                            help="worker-pool size for --backend thread/process "
                                 "(default: all cores)")
-    factorize.add_argument("--eager", action="store_true",
-                           help="disable stage fusion (legacy stage-per-"
-                                "transformation dispatch; dbtf only, "
-                                "results are identical)")
-    factorize.add_argument("--driver-shuffle", action="store_true",
-                           help="route combine_by_key shuffles through the "
-                                "legacy driver-side per-pair loop instead "
-                                "of the worker-side bucketed plane (dbtf "
-                                "only, results are identical)")
     factorize.add_argument("--kernel-tier", default=None, metavar="TIER",
                            help="kernel-dispatch tier: fixed (heuristics, "
                                 "the default), auto (autotune + cache), "
@@ -363,10 +354,8 @@ def _command_factorize(args: argparse.Namespace) -> int:
             backend=args.backend,
             n_workers=args.workers,
             tracing=observing,
-            eager=args.eager,
             memory_budget=memory_budget,
             spill_dir=args.spill_dir,
-            worker_shuffle=False if args.driver_shuffle else None,
         )
         with FactorizationSession(
             tensor,
@@ -404,10 +393,8 @@ def _command_factorize(args: argparse.Namespace) -> int:
                 backend=args.backend,
                 n_workers=args.workers,
                 tracing=True,
-                eager=args.eager,
                 memory_budget=memory_budget,
                 spill_dir=args.spill_dir,
-                worker_shuffle=False if args.driver_shuffle else None,
             )
             context = SimulatedRuntime(probe.resolved_cluster())
         with context as runtime:
@@ -420,11 +407,9 @@ def _command_factorize(args: argparse.Namespace) -> int:
                 n_partitions=args.partitions,
                 backend=args.backend,
                 n_workers=args.workers,
-                eager=args.eager,
                 checkpoint=checkpoint,
                 memory_budget=memory_budget,
                 spill_dir=args.spill_dir,
-                worker_shuffle=False if args.driver_shuffle else None,
                 runtime=runtime,
             )
             if runtime is not None:

@@ -68,11 +68,6 @@ class DbtfConfig:
         kernel`` plus transfer events) on the runtime's tracer; export it
         with :mod:`repro.observability`.  ``False`` (default) defers to
         ``cluster.tracing``.
-    eager:
-        ``True`` disables the plan layer's stage fusion (legacy
-        stage-per-transformation dispatch).  Factors and metered bytes are
-        identical; only the dispatched-stage count grows.  ``False``
-        (default) defers to ``cluster.eager``.
     checkpoint:
         Iteration-level checkpointing
         (:class:`~repro.resilience.CheckpointConfig`): snapshot the
@@ -89,11 +84,10 @@ class DbtfConfig:
     spill_dir:
         Parent directory for storage-tier spill files.  ``None`` (default)
         defers to ``cluster.spill_dir``.
-    worker_shuffle:
-        ``False`` routes ``combine_by_key`` shuffles through the legacy
-        driver-side per-pair loop instead of the worker-side bucketed
-        plane (A/B lever; results and shuffle bytes are identical).
-        ``None`` (default) defers to ``cluster.worker_shuffle``.
+
+    ``backend``, ``n_workers``, ``tracing``, ``memory_budget`` and
+    ``spill_dir`` shape the runtime a solver builds for itself; a
+    caller-supplied runtime must match them (:meth:`check_runtime`).
     """
 
     rank: int
@@ -109,11 +103,9 @@ class DbtfConfig:
     backend: str | None = None
     n_workers: int | None = None
     tracing: bool = False
-    eager: bool = False
     checkpoint: CheckpointConfig | None = None
     memory_budget: int | None = None
     spill_dir: str | None = None
-    worker_shuffle: bool | None = None
 
     def __post_init__(self) -> None:
         if self.rank <= 0:
@@ -164,15 +156,13 @@ class DbtfConfig:
         return self.cluster.total_slots
 
     def resolved_cluster(self) -> ClusterConfig:
-        """``cluster`` with this config's backend/tracing/eager overrides."""
+        """``cluster`` with this config's cluster overrides applied."""
         if (
             self.backend is None
             and self.n_workers is None
             and not self.tracing
-            and not self.eager
             and self.memory_budget is None
             and self.spill_dir is None
-            and self.worker_shuffle is None
         ):
             return self.cluster
         return replace(
@@ -182,7 +172,6 @@ class DbtfConfig:
                 self.n_workers if self.n_workers is not None else self.cluster.n_workers
             ),
             tracing=self.tracing or self.cluster.tracing,
-            eager=self.eager or self.cluster.eager,
             memory_budget=(
                 self.memory_budget if self.memory_budget is not None
                 else self.cluster.memory_budget
@@ -191,8 +180,27 @@ class DbtfConfig:
                 self.spill_dir if self.spill_dir is not None
                 else self.cluster.spill_dir
             ),
-            worker_shuffle=(
-                self.worker_shuffle if self.worker_shuffle is not None
-                else self.cluster.worker_shuffle
-            ),
         )
+
+    def check_runtime(self, runtime) -> None:
+        """Raise ``ValueError`` if ``runtime`` contradicts an override.
+
+        Only overrides that were set explicitly are checked — ``None`` and
+        ``tracing=False`` defer to whatever the runtime was built with —
+        so a plain runtime plus a config without overrides always passes.
+        ``tracing=True`` is satisfied by any runtime that carries a tracer.
+        """
+        config = runtime.config
+        for name, wanted, actual in (
+            ("backend", self.backend, config.backend),
+            ("n_workers", self.n_workers, config.n_workers),
+            ("tracing", self.tracing or None, runtime.tracer is not None),
+            ("memory_budget", self.memory_budget, config.memory_budget),
+            ("spill_dir", self.spill_dir, config.spill_dir),
+        ):
+            if wanted is not None and wanted != actual:
+                raise ValueError(
+                    f"DbtfConfig.{name}={wanted!r} differs from the supplied "
+                    f"runtime's {name}={actual!r}; build the runtime from "
+                    f"config.resolved_cluster() or drop the override"
+                )

@@ -256,7 +256,9 @@ def dbtf(
         Full configuration; built from ``rank`` and ``overrides`` if absent.
     runtime:
         Simulated cluster runtime to meter against; a fresh one is created
-        (and attached to the result's report) if not provided.
+        (and attached to the result's report) if not provided.  A supplied
+        runtime must agree with every cluster override the config sets
+        explicitly (:meth:`DbtfConfig.check_runtime`), else ``ValueError``.
     overrides:
         Extra :class:`DbtfConfig` fields, e.g. ``max_iterations=5, seed=3``.
 
@@ -274,6 +276,8 @@ def dbtf(
     owns_runtime = runtime is None
     if runtime is None:
         runtime = SimulatedRuntime(config.resolved_cluster())
+    else:
+        config.check_runtime(runtime)
     try:
         return drive(dbtf_steps(tensor, config, runtime))
     finally:

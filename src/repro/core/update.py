@@ -10,6 +10,8 @@ the per-row errors and keeps the value with the smaller error.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..bitops import BitMatrix, packing
@@ -20,7 +22,7 @@ from .cache import RowSummationCache
 from .config import DbtfConfig
 from .partition import PartitionData
 
-__all__ = ["update_factor", "CachedPartition"]
+__all__ = ["update_factor", "sweep_columns", "CachedPartition", "ColumnSweepTask"]
 
 
 class CachedPartition:
@@ -90,6 +92,23 @@ class CachedPartition:
                 masks_if_zero, outer_words, outer_column, inner_column_words
             )
 
+    def sweep_errors(
+        self, masks_if_zero: np.ndarray, factors: list, column: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`column_errors` for :class:`ColumnSweepTask`.
+
+        ``factors`` is the resolved ``[target, outer, inner]`` broadcast;
+        the outer factor's column comes from its words and the inner
+        column from the cache this partition built.
+        """
+        outer_words = factors[1]
+        return self.column_errors(
+            masks_if_zero,
+            outer_words,
+            packing.bit_column(outer_words, column),
+            self.cache.columns_packed[column],
+        )
+
     def _column_errors(
         self,
         masks_if_zero: np.ndarray,
@@ -150,56 +169,6 @@ def _masks_with_bit_cleared(words: np.ndarray, column: int) -> np.ndarray:
     return words & keep
 
 
-class _BuildCachedPartition:
-    """Stage payload: attach the row-summation cache to each partition.
-
-    A module-level callable whose broadcast values (the inner factor and
-    the V threshold) ride along as attributes, so the payload pickles to
-    process-pool workers — the engine's equivalent of referencing a Spark
-    broadcast variable instead of capturing a driver local.
-    """
-
-    __slots__ = ("inner", "group_size")
-
-    def __init__(self, inner: BitMatrix, group_size: int):
-        self.inner = inner
-        self.group_size = group_size
-
-    def __call__(self, data) -> CachedPartition:
-        return CachedPartition(data, RowSummationCache(self.inner, self.group_size))
-
-
-class _ColumnErrorsTask:
-    """Legacy stage payload: one column's error evaluation, closure-style.
-
-    Embeds the full target masks, outer factor words, and the inner column
-    in every task — O(n_rows·words) serialized bytes per task per column,
-    the traffic the broadcast-handle path eliminates.  Kept behind
-    ``ClusterConfig(handle_broadcasts=False)`` as the A/B baseline.
-    """
-
-    __slots__ = (
-        "masks_if_zero",
-        "outer_words",
-        "outer_column",
-        "inner_column_words",
-    )
-
-    def __init__(self, masks_if_zero, outer_words, outer_column, inner_column_words):
-        self.masks_if_zero = masks_if_zero
-        self.outer_words = outer_words
-        self.outer_column = outer_column
-        self.inner_column_words = inner_column_words
-
-    def __call__(self, cached: CachedPartition):
-        return cached.column_errors(
-            self.masks_if_zero,
-            self.outer_words,
-            self.outer_column,
-            self.inner_column_words,
-        )
-
-
 class _BuildCachedPartitionFromHandle:
     """Stage payload: build the cache from a broadcast handle's factors.
 
@@ -221,7 +190,7 @@ class _BuildCachedPartitionFromHandle:
         return CachedPartition(data, RowSummationCache(inner, self.group_size))
 
 
-class _ColumnErrorsDeltaTask:
+class ColumnSweepTask:
     """Stage payload: one column's error evaluation, delta-only traffic.
 
     Ships a broadcast handle plus the packed ~n_rows/8-byte column updates
@@ -232,6 +201,11 @@ class _ColumnErrorsDeltaTask:
     every column (rather than mutating worker-local state) keeps the
     computation a pure function of the payload, which is what makes results
     bit-identical across serial, thread, and process backends.
+
+    The task is shared by every cached-partition type: the partition's
+    ``sweep_errors(masks, factors, column)`` turns the rebuilt masks into
+    its ``(error_if_zero, error_if_one)`` pair.  Slot ``0`` of the
+    broadcast factors must be the target's packed words.
     """
 
     __slots__ = ("factors", "column", "deltas", "n_rows")
@@ -242,20 +216,100 @@ class _ColumnErrorsDeltaTask:
         self.deltas = deltas
         self.n_rows = n_rows
 
-    def __call__(self, cached: CachedPartition):
-        target_words, outer_words, _ = self.factors.value
-        masks = target_words.copy()
+    def masks(self) -> np.ndarray:
+        """The target's current row masks with this column cleared."""
+        masks = self.factors.value[0].copy()
         for applied_column, delta in self.deltas:
             chosen = np.unpackbits(delta.value, count=self.n_rows)
             packing.set_bit_column(masks, applied_column, chosen)
         word_index, offset = divmod(self.column, packing.WORD_BITS)
         masks[:, word_index] &= ~np.uint64(1 << offset)
-        return cached.column_errors(
-            masks,
-            outer_words,
-            packing.bit_column(outer_words, self.column),
-            cached.cache.columns_packed[self.column],
+        return masks
+
+    def __call__(self, cached):
+        return cached.sweep_errors(self.masks(), self.factors.value, self.column)
+
+
+class SweepStages(NamedTuple):
+    """Stage and broadcast names of one column sweep (spans and ledger)."""
+
+    build: str
+    errors: str
+    collect: str
+    update: str
+
+
+CP_STAGES = SweepStages(
+    "cacheRowSummations", "columnErrors", "collectColumnErrors", "columnUpdate"
+)
+
+
+def sweep_columns(
+    data_rdd: Distributed,
+    build_task,
+    factors,
+    target: BitMatrix,
+    runtime: SimulatedRuntime,
+    stages: SweepStages,
+    dirty: "set[int] | None" = None,
+) -> tuple[BitMatrix, int, set[int], int]:
+    """Greedy column-by-column update of ``target`` (paper Algorithm 4).
+
+    ``build_task`` turns each data partition into a cached partition
+    (:class:`CachedPartition`, or the Tucker variant); ``factors`` is the
+    broadcast the build and column tasks resolve, with the target's words
+    in slot 0.  For every column both candidate values are evaluated
+    across all partitions, the per-row errors are summed on the driver,
+    and the smaller one wins — strict ``<``, so ties keep 0.
+
+    With ``dirty`` set, only columns in it are evaluated until one
+    changes; after that every later column is evaluated too.  Returns
+    ``(updated, error_after, changed_columns, n_evaluated)``.
+    """
+    # Algorithm 5: build the cache tables inside each partition.  Persisted
+    # because every column stage of this update reuses them; the plan layer
+    # fuses the build into the first column's stage (tapping the persist
+    # point), so it costs no dedicated dispatch.
+    cached_rdd = data_rdd.map(build_task, name=stages.build).persist()
+    updated = target.copy()
+    error_after = 0
+    deltas: list[tuple] = []
+    changed: set[int] = set()
+    evaluated = 0
+    for column in range(updated.n_cols):
+        if dirty is not None and not (changed or column in dirty):
+            # Clean column under an intact prefix: the delta cannot have
+            # moved this column's decision (its support misses every touched
+            # fiber) and no earlier column changed rec0 — keep its bits and
+            # skip both error evaluations.
+            continue
+        task = ColumnSweepTask(factors, column, tuple(deltas), updated.n_rows)
+        per_partition = cached_rdd.map(task, name=stages.errors).collect(
+            name=stages.collect
         )
+        error_if_zero = np.zeros(updated.n_rows, dtype=np.int64)
+        error_if_one = np.zeros(updated.n_rows, dtype=np.int64)
+        for partial_zero, partial_one in per_partition:
+            error_if_zero += partial_zero
+            error_if_one += partial_one
+        # Strict inequality: ties keep 0, favouring sparser factors (the
+        # paper does not specify a tie rule; see DESIGN.md).
+        chosen = (error_if_one < error_if_zero).astype(np.uint8)
+        evaluated += 1
+        if not np.array_equal(chosen, updated.column(column)):
+            changed.add(column)
+        updated.set_column(column, chosen)
+        error_after = int(np.minimum(error_if_zero, error_if_one).sum())
+        # The workers need the freshly updated column for the next
+        # column-iteration: later tasks reference this packed delta to
+        # rebuild the target state worker-side.
+        delta = runtime.broadcast(np.packbits(chosen), name=stages.update)
+        deltas.append((column, delta))
+    # The cache tables are stale the moment another factor changes in the
+    # next mode's update; evict rather than letting them pile up until
+    # close().
+    cached_rdd.unpersist()
+    return updated, error_after, changed, evaluated
 
 
 def update_factor(
@@ -304,89 +358,23 @@ def update_factor(
             return target.copy(), None, set()
     else:
         dirty = None
-    handles = runtime.config.handle_broadcasts
     # Ship the factor matrices to the workers (paper Sec. III-E: factor
-    # matrices are broadcast each iteration).  With handles on, the column
-    # tasks reference this broadcast by id; the legacy path broadcasts for
-    # the ledger charge but re-embeds the arrays in every task payload.
+    # matrices are broadcast each iteration).  The cache depends only on
+    # `inner`, so every partition builds identical full tables plus its own
+    # block slices — exactly what each Spark executor would do locally.
     factors = runtime.broadcast(
         [target.words, outer.words, inner.words], name="updateFactor.broadcast"
     )
-    # Algorithm 5: build the row-summation cache tables inside each
-    # partition.  The cache depends only on `inner`, so every partition
-    # builds identical full tables plus its own block slices — exactly what
-    # each Spark executor would do locally.  Persisted because all R column
-    # stages of this update reuse it; the plan layer fuses the build into
-    # the first column's stage (tapping the persist point), so it costs no
-    # dedicated dispatch.
-    build_task = (
-        _BuildCachedPartitionFromHandle(
-            factors, inner.n_rows, inner.n_cols, config.cache_group_size
-        )
-        if handles
-        else _BuildCachedPartition(inner, config.cache_group_size)
+    build_task = _BuildCachedPartitionFromHandle(
+        factors, inner.n_rows, inner.n_cols, config.cache_group_size
     )
-    cached_rdd = data_rdd.map(build_task, name="cacheRowSummations").persist()
-
-    updated = target.copy()
-    error_after = 0
-    # Row r of inner^T is the inner factor's column r, packed over the PVM
-    # width — the coverage component c adds inside an active block.  The
-    # handle path reads the same rows worker-side from the cache it built.
-    inner_columns = None if handles else inner.transpose().words
-    deltas: list[tuple] = []
-    changed: set[int] = set()
-    escalated = False
-    evaluated = skipped = 0
-    for column in range(config.rank):
-        if dirty is not None and not (escalated or column in dirty):
-            # Clean column under an intact prefix: the delta cannot have
-            # moved this column's decision (its support misses every touched
-            # fiber) and no earlier column changed rec0 — keep its bits and
-            # skip both error evaluations.
-            skipped += 1
-            continue
-        if handles:
-            task = _ColumnErrorsDeltaTask(
-                factors, column, tuple(deltas), updated.n_rows
-            )
-        else:
-            task = _ColumnErrorsTask(
-                _masks_with_bit_cleared(updated.words, column),
-                outer.words,
-                outer.column(column),
-                inner_columns[column],
-            )
-        per_partition = cached_rdd.map(task, name="columnErrors").collect(
-            name="collectColumnErrors"
-        )
-        error_if_zero = np.zeros(updated.n_rows, dtype=np.int64)
-        error_if_one = np.zeros(updated.n_rows, dtype=np.int64)
-        for partial_zero, partial_one in per_partition:
-            error_if_zero += partial_zero
-            error_if_one += partial_one
-        # Strict inequality: ties keep 0, favouring sparser factors (the
-        # paper does not specify a tie rule; see DESIGN.md).
-        chosen = (error_if_one < error_if_zero).astype(np.uint8)
-        if dirty is not None:
-            evaluated += 1
-            if not np.array_equal(chosen, updated.column(column)):
-                changed.add(column)
-                escalated = True
-        updated.set_column(column, chosen)
-        error_after = int(np.minimum(error_if_zero, error_if_one).sum())
-        # The workers need the freshly updated column for the next
-        # column-iteration; charge that transfer.  With handles on, later
-        # column tasks reference these packed deltas to rebuild the target
-        # state worker-side.
-        delta = runtime.broadcast(np.packbits(chosen), name="columnUpdate")
-        if handles:
-            deltas.append((column, delta))
-    # The cache tables are stale the moment `inner` changes in the next
-    # mode's update; evict rather than letting them pile up until close().
-    cached_rdd.unpersist()
+    updated, error_after, changed, evaluated = sweep_columns(
+        data_rdd, build_task, factors, target, runtime, CP_STAGES, dirty
+    )
     if dirty is None:
         return updated, error_after
     runtime.metrics.counter("incremental_columns_swept_total").inc(evaluated)
-    runtime.metrics.counter("incremental_columns_skipped_total").inc(skipped)
+    runtime.metrics.counter("incremental_columns_skipped_total").inc(
+        config.rank - evaluated
+    )
     return updated, (error_after if evaluated else None), changed

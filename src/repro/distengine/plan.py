@@ -37,18 +37,6 @@ __all__ = [
     "FusedChainTask",
 ]
 
-#: Display label per operator, used when a transformation was not given an
-#: explicit stage name.
-_OP_LABELS = {
-    "source": "source",
-    "map": "map",
-    "filter": "filter",
-    "mapPartitions": "mapPartitions",
-    "mapPartitionsWithIndex": "mapPartitionsWithIndex",
-    "combineByKey.map": "combineByKey.map",
-    "combineByKey.bucket": "combineByKey.bucket",
-}
-
 
 class PlanNode:
     """One operator in a lineage DAG.
@@ -90,16 +78,8 @@ class PlanNode:
             return self.label
         if self.persisted:
             return "cache-build"
-        return _OP_LABELS.get(self.op, self.op)
-
-    def release(self) -> None:
-        """Drop lineage references once the node's output is materialized.
-
-        Eager mode caches every node at creation; without this, the chain
-        of parent links would keep all intermediate partitions alive.
-        """
-        self.parent = None
-        self.fn = None
+        # Anonymous transformations are labelled by their operator.
+        return self.op
 
     def __repr__(self) -> str:
         state = "cached" if self.cached is not None else "lazy"
@@ -172,29 +152,30 @@ class PhysicalStage:
 class PlanOptimizer:
     """Groups a lineage DAG's nodes into dispatchable physical stages.
 
-    With ``fuse=True`` (the default) each maximal chain of narrow
-    transformations becomes one stage; chains run *through* persisted
-    nodes that are not cached yet, capturing their outputs as taps so
-    ``persist()`` still materializes exactly once.  With ``fuse=False``
-    every node is its own stage — the legacy eager dispatch shape, kept
-    for A/B comparison (``ClusterConfig(eager=True)``).
+    Each maximal chain of narrow transformations becomes one stage;
+    chains run *through* persisted nodes that are not cached yet,
+    capturing their outputs as taps so ``persist()`` still materializes
+    exactly once.
     """
 
-    __slots__ = ("fuse",)
+    __slots__ = ()
 
-    def __init__(self, fuse: bool = True):
-        self.fuse = fuse
-
-    def chain_for(self, node: PlanNode) -> tuple[list[PlanNode], PlanNode]:
+    def chain_for(
+        self, node: PlanNode, assumed_cached=frozenset()
+    ) -> tuple[list[PlanNode], PlanNode]:
         """The fusable chain ending at ``node``, plus the chain's input node.
 
         The chain is upstream-first; the input is the nearest ancestor
         with materialized partitions (a source, or a cached persist point)
-        when fusing, or simply ``node.parent`` in eager mode.
+        or in ``assumed_cached``.
         """
         chain = [node]
         cursor = node.parent
-        while self.fuse and cursor is not None and cursor.cached is None:
+        while (
+            cursor is not None
+            and cursor.cached is None
+            and cursor not in assumed_cached
+        ):
             chain.append(cursor)
             cursor = cursor.parent
         chain.reverse()
@@ -213,17 +194,7 @@ class PlanOptimizer:
     def _plan(self, node, stages, assumed_cached) -> None:
         if node.cached is not None or node in assumed_cached:
             return
-        chain = [node]
-        cursor = node.parent
-        while (
-            self.fuse
-            and cursor is not None
-            and cursor.cached is None
-            and cursor not in assumed_cached
-        ):
-            chain.append(cursor)
-            cursor = cursor.parent
-        chain.reverse()
+        chain, cursor = self.chain_for(node, assumed_cached)
         if cursor is not None:
             self._plan(cursor, stages, assumed_cached)
         stages.append(PhysicalStage(chain))
@@ -296,8 +267,7 @@ class LogicalPlan:
             suffix = f"  ({', '.join(flags)})" if flags else ""
             lines.append(f"#{cursor.node_id} {cursor.op} {cursor.segment()!r}{suffix}")
             cursor = cursor.parent
-        mode = "fused" if self.optimizer.fuse else "eager"
-        lines.append(f"== physical stages ({mode}) ==")
+        lines.append("== physical stages (fused) ==")
         stages = self.optimizer.plan(self.node)
         if not stages:
             lines.append("(fully materialized — nothing to dispatch)")

@@ -34,9 +34,7 @@ class TransferKind:
     """Categories of network transfer the ledger distinguishes.
 
     ``TASK`` is the serialized task payload the driver ships to workers at
-    stage launch — the closure-capture cost Spark charges per task.  Before
-    the broadcast-handle plane this traffic was invisible; metering it is
-    what makes the handle-vs-closure comparison honest.
+    stage launch — the closure-capture cost Spark charges per task.
 
     ``SPILL`` is local disk I/O of the out-of-core storage tier (cache
     spill and load under a memory budget).  It is metered through the same
@@ -158,7 +156,7 @@ def estimate_pair_bytes(pairs) -> int:
     estimate_bytes(combiner)`` loop; the common shuffle shapes — integer
     keys, packed ndarray combiners — take inlined fast paths that bypass
     the recursive dispatch while producing *exactly* the same sum, so the
-    ledger charge is bit-equal to the legacy per-pair accounting.
+    ledger charge is bit-equal to per-pair accounting.
     """
     total = 0
     for key, value in pairs:
@@ -198,10 +196,10 @@ def _payload_attrs(obj: object) -> "list | None":
 def _hash_bytes(key: object) -> bytes:
     """Canonical byte encoding of a shuffle key, type-tagged per element.
 
-    Beyond shuffle keys this also has to fingerprint broadcast payloads
-    (for ``ClusterConfig(dedup_broadcasts=True)``), so numpy arrays hash
-    their dtype, shape, and raw buffer, and lists hash element-wise like
-    tuples (with a distinct tag).
+    Beyond shuffle keys this also fingerprints broadcast payloads (the
+    content ids of :class:`BroadcastHandle`), so numpy arrays hash their
+    dtype, shape, and raw buffer, and lists hash element-wise like tuples
+    (with a distinct tag).
     """
     if key is None:
         return b"n"

@@ -146,7 +146,9 @@ class FactorizationSession:
         tensor, hence a different checkpoint fingerprint).
     runtime:
         Optional caller-owned runtime (e.g. a service lease); one is built
-        from the config and closed with the session otherwise.
+        from the config and closed with the session otherwise.  A supplied
+        runtime must agree with every cluster override the config sets
+        explicitly (:meth:`DbtfConfig.check_runtime`), else ``ValueError``.
     checkpoint_root:
         Directory under which epoch ``e`` snapshots into ``epoch-%04d``.
         ``None`` disables checkpointing.
@@ -182,6 +184,8 @@ class FactorizationSession:
             )
         if keep_last < 1:
             raise ValueError(f"keep_last must be >= 1, got {keep_last}")
+        if runtime is not None:
+            config.check_runtime(runtime)
         self.tensor = tensor
         self.config = config
         self._owns_runtime = runtime is None

@@ -34,7 +34,7 @@ from ..core.cache import RowSummationCache
 from ..observability.trace import kernel_span
 from ..core.decompose import prepare_partitioned_unfoldings
 from ..core.partition import PartitionData
-from ..core.update import _masks_with_bit_cleared
+from ..core.update import SweepStages, sweep_columns
 from ..distengine import DEFAULT_CLUSTER, Distributed, SimulatedRuntime
 from ..tensor import SparseBoolTensor
 from .decompose import (
@@ -117,6 +117,16 @@ class TuckerCachedPartition:
                          column=column, n_blocks=len(self.entries)):
             return self._column_errors(masks_if_zero, column)
 
+    def sweep_errors(
+        self, masks_if_zero: np.ndarray, factors: list, column: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`column_errors` for the shared column-sweep task.
+
+        The outer and inner factors are already baked into this
+        partition's pattern tables, so ``factors`` is not read.
+        """
+        return self.column_errors(masks_if_zero, column)
+
     def _column_errors(
         self, masks_if_zero: np.ndarray, column: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -133,45 +143,6 @@ class TuckerCachedPartition:
             delta_if_one += packing.popcount_rows(newly)
             delta_if_one -= 2 * packing.popcount_rows(newly & tensor_words)
         return error_if_zero, error_if_zero + delta_if_one
-
-
-class _BuildTuckerCache:
-    """Stage payload: build per-pattern effective-basis caches per partition.
-
-    Module-level and attribute-carrying (instead of a closure over driver
-    locals) so it pickles to process-pool workers.
-    """
-
-    __slots__ = ("outer", "inner", "core_perm", "group_size")
-
-    def __init__(self, outer: BitMatrix, inner: BitMatrix, core_perm, group_size):
-        self.outer = outer
-        self.inner = inner
-        self.core_perm = core_perm
-        self.group_size = group_size
-
-    def __call__(self, data) -> TuckerCachedPartition:
-        return TuckerCachedPartition(
-            data, self.outer, self.inner, self.core_perm, self.group_size
-        )
-
-
-class _TuckerColumnErrorsTask:
-    """Legacy stage payload: one Tucker column's error evaluation.
-
-    Embeds the full target masks per task — the traffic the broadcast-handle
-    path eliminates.  Kept behind ``ClusterConfig(handle_broadcasts=False)``
-    as the A/B baseline.
-    """
-
-    __slots__ = ("masks_if_zero", "column")
-
-    def __init__(self, masks_if_zero: np.ndarray, column: int):
-        self.masks_if_zero = masks_if_zero
-        self.column = column
-
-    def __call__(self, cached: TuckerCachedPartition):
-        return cached.column_errors(self.masks_if_zero, self.column)
 
 
 class _BuildTuckerCacheFromHandle:
@@ -198,33 +169,12 @@ class _BuildTuckerCacheFromHandle:
         )
 
 
-class _TuckerColumnErrorsDeltaTask:
-    """Stage payload: one Tucker column's errors, delta-only traffic.
-
-    Same reconstruction discipline as the CP
-    :class:`~repro.core.update._ColumnErrorsDeltaTask`: base target words
-    from the handle, prior columns re-applied from packed deltas, this
-    column cleared in place — a pure function of the payload, so results
-    stay bit-identical across backends.
-    """
-
-    __slots__ = ("factors", "column", "deltas", "n_rows")
-
-    def __init__(self, factors, column: int, deltas: tuple, n_rows: int):
-        self.factors = factors
-        self.column = column
-        self.deltas = deltas
-        self.n_rows = n_rows
-
-    def __call__(self, cached: TuckerCachedPartition):
-        target_words = self.factors.value[0]
-        masks = target_words.copy()
-        for applied_column, delta in self.deltas:
-            chosen = np.unpackbits(delta.value, count=self.n_rows)
-            packing.set_bit_column(masks, applied_column, chosen)
-        word_index, offset = divmod(self.column, packing.WORD_BITS)
-        masks[:, word_index] &= ~np.uint64(1 << offset)
-        return cached.column_errors(masks, self.column)
+TUCKER_STAGES = SweepStages(
+    "cacheTuckerSummations",
+    "tuckerColumnErrors",
+    "collectTuckerColumnErrors",
+    "tuckerColumnUpdate",
+)
 
 
 def update_tucker_factor(
@@ -236,50 +186,22 @@ def update_tucker_factor(
     group_size: int,
     runtime: SimulatedRuntime,
 ) -> tuple[BitMatrix, int]:
-    """Distributed greedy column update of one Tucker factor."""
-    handles = runtime.config.handle_broadcasts
+    """Distributed greedy column update of one Tucker factor.
+
+    The same column sweep as the CP update
+    (:func:`~repro.core.update.sweep_columns`), over per-pattern
+    effective-basis caches instead of plain row-summation caches.
+    """
     factors = runtime.broadcast(
         [target.words, outer.words, inner.words, core_perm],
         name="updateTuckerFactor.broadcast",
     )
-    # Persisted for the same reason as the CP update: every column stage
-    # reuses the per-pattern caches, and the plan layer fuses the build
-    # into the first column's stage via a persist tap.
-    build_task = (
-        _BuildTuckerCacheFromHandle(
-            factors, outer.shape, inner.shape, group_size
-        )
-        if handles
-        else _BuildTuckerCache(outer, inner, core_perm, group_size)
+    build_task = _BuildTuckerCacheFromHandle(
+        factors, outer.shape, inner.shape, group_size
     )
-    cached_rdd = data_rdd.map(build_task, name="cacheTuckerSummations").persist()
-    updated = target.copy()
-    error_after = 0
-    deltas: list[tuple] = []
-    for column in range(target.n_cols):
-        if handles:
-            task = _TuckerColumnErrorsDeltaTask(
-                factors, column, tuple(deltas), updated.n_rows
-            )
-        else:
-            task = _TuckerColumnErrorsTask(
-                _masks_with_bit_cleared(updated.words, column), column
-            )
-        per_partition = cached_rdd.map(
-            task, name="tuckerColumnErrors"
-        ).collect(name="collectTuckerColumnErrors")
-        error_if_zero = np.zeros(updated.n_rows, dtype=np.int64)
-        error_if_one = np.zeros(updated.n_rows, dtype=np.int64)
-        for partial_zero, partial_one in per_partition:
-            error_if_zero += partial_zero
-            error_if_one += partial_one
-        chosen = (error_if_one < error_if_zero).astype(np.uint8)
-        updated.set_column(column, chosen)
-        error_after = int(np.minimum(error_if_zero, error_if_one).sum())
-        delta = runtime.broadcast(np.packbits(chosen), name="tuckerColumnUpdate")
-        if handles:
-            deltas.append((column, delta))
-    cached_rdd.unpersist()
+    updated, error_after, _, _ = sweep_columns(
+        data_rdd, build_task, factors, target, runtime, TUCKER_STAGES
+    )
     return updated, error_after
 
 

@@ -80,6 +80,72 @@ class TestTiers:
             assert boolean_matmul(left, right) == expected, tier
 
 
+class TestRetiredImpls:
+    """Names of deleted implementations resolve to the default, never raise.
+
+    ``bytelut`` (both ``xor_popcount`` kernels), ``dense``
+    (``pointwise_vector_matrix``) and ``numba`` (``boolean_matmul`` and the
+    ``xor_popcount`` family) were registered once; forced tiers and
+    autotune caches written back then may still name them.
+    """
+
+    CASES = [
+        ("xor_popcount", (64, 8), "bytelut"),
+        ("xor_popcount_rows", (64, 8), "bytelut"),
+        ("pointwise_vector_matrix", (64, 32), "dense"),
+        ("boolean_matmul", _matmul_shape(), "numba"),
+        ("xor_popcount", (512, 64), "numba"),
+        ("xor_popcount_rows", (512, 64), "numba"),
+    ]
+
+    def test_retired_names_are_not_registered(self):
+        for kernel_name, _, retired in self.CASES:
+            assert retired in dispatch.RETIRED_IMPLS
+            assert retired not in dispatch.kernel(kernel_name).impls
+
+    @pytest.mark.parametrize("kernel_name,shape,retired", CASES)
+    def test_forced_retired_tier_resolves_to_default(
+        self, kernel_name, shape, retired
+    ):
+        default = dispatch.KernelDispatcher(tier="fixed").choose(
+            kernel_name, shape
+        )
+        forced = dispatch.KernelDispatcher(tier=retired)
+        assert forced.choose(kernel_name, shape) == default
+
+    @pytest.mark.parametrize("kernel_name,shape,retired", CASES)
+    def test_cached_retired_winner_resolves_to_default(
+        self, tmp_path, kernel_name, shape, retired
+    ):
+        cache_path = tmp_path / "kernels.json"
+        cache = dispatch.AutotuneCache(cache_path)
+        key = f"{kernel_name}/{dispatch.shape_class(shape)}"
+        cache.record(key, retired, {retired: 1e-9})
+        cache.save()
+        dispatcher = dispatch.KernelDispatcher(tier="auto", cache_path=cache_path)
+
+        def _boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a retired winner must not trigger a re-measure")
+
+        dispatcher._measure = _boom
+        default = dispatch.KernelDispatcher(tier="fixed").choose(
+            kernel_name, shape
+        )
+        rng = np.random.default_rng(0)
+        entry = dispatch.kernel(kernel_name)
+        args = entry.make_args(shape, rng)
+        assert dispatcher.resolve(kernel_name, shape, args).name == default
+
+    def test_configured_retired_tier_runs_kernels(self):
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, 1 << 64, size=(33, 3), dtype=np.uint64)
+        b = rng.integers(0, 1 << 64, size=(33, 3), dtype=np.uint64)
+        expected = xor_popcount_rows(a, b)
+        for retired in sorted(dispatch.RETIRED_IMPLS):
+            dispatch.configure(tier=retired)
+            assert np.array_equal(xor_popcount_rows(a, b), expected), retired
+
+
 # ----------------------------------------------------------------------
 # Autotune cache persistence and failure modes
 # ----------------------------------------------------------------------
@@ -100,7 +166,7 @@ class TestAutotuneCache:
         }
         assert matmul_entries
         for entry in matmul_entries.values():
-            assert entry["impl"] in {"rowloop", "batched", "bulk", "numba"}
+            assert entry["impl"] in {"rowloop", "batched", "bulk"}
             assert all(t >= 0 for t in entry["timings"].values())
 
     def test_cached_winner_reused_without_measuring(self, tmp_path):

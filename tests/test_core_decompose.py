@@ -5,7 +5,7 @@ import pytest
 
 from repro import dbtf, planted_tensor, random_tensor
 from repro.core import DbtfConfig
-from repro.distengine import SimulatedRuntime, TransferKind
+from repro.distengine import ClusterConfig, SimulatedRuntime, TransferKind
 from repro.tensor import SparseBoolTensor
 
 
@@ -195,3 +195,45 @@ class TestConfigValidation:
 
     def test_resolved_partitions_explicit(self):
         assert DbtfConfig(rank=2, n_partitions=5).resolved_partitions() == 5
+
+
+class TestRuntimeOverrides:
+    """Cluster overrides must agree with a caller-supplied runtime."""
+
+    MISMATCHES = [
+        ("backend", {"backend": "thread"}),
+        ("n_workers", {"n_workers": 3}),
+        ("tracing", {"tracing": True}),
+        ("memory_budget", {"memory_budget": 1 << 20}),
+        ("spill_dir", {"spill_dir": "/nonexistent-spill-root"}),
+    ]
+
+    @pytest.mark.parametrize("field,override", MISMATCHES)
+    def test_conflicting_override_names_the_field(self, field, override):
+        tensor = random_tensor((6, 6, 6), density=0.2,
+                               rng=np.random.default_rng(0))
+        with SimulatedRuntime() as runtime:
+            with pytest.raises(ValueError, match=f"DbtfConfig.{field}="):
+                dbtf(tensor, rank=2, runtime=runtime, **override)
+            assert not runtime.stages  # rejected before any work ran
+
+    def test_unset_overrides_accept_any_runtime(self):
+        tensor = random_tensor((6, 6, 6), density=0.2,
+                               rng=np.random.default_rng(1))
+        cluster = ClusterConfig(backend="thread", n_workers=2, tracing=True,
+                                memory_budget=1 << 20)
+        with SimulatedRuntime(cluster) as runtime:
+            result = dbtf(tensor, rank=2, seed=0, n_partitions=2,
+                          max_iterations=1, runtime=runtime)
+        assert result.n_iterations == 1
+
+    def test_matching_overrides_pass(self):
+        tensor = random_tensor((6, 6, 6), density=0.2,
+                               rng=np.random.default_rng(2))
+        config = DbtfConfig(rank=2, seed=0, n_partitions=2, max_iterations=1,
+                            backend="thread", n_workers=2, tracing=True,
+                            memory_budget=1 << 20)
+        with SimulatedRuntime(config.resolved_cluster()) as runtime:
+            result = dbtf(tensor, config=config, runtime=runtime)
+            assert runtime.storage is not None  # the budget took effect
+        assert result.n_iterations == 1

@@ -4,16 +4,27 @@ The contract: ``runtime.broadcast`` returns a first-class, content-addressed
 :class:`BroadcastHandle`; pickling a handle drops the value (workers resolve
 it from the backend-local store or a spill file); task payloads that embed a
 handle cost ~32 wire bytes instead of the value's full size; and the
-delta-only factor-update path produces bit-identical factors and error
-traces while shipping a fraction of the legacy closure path's bytes.
+shared column-sweep task rebuilds the exact target masks from a base
+broadcast plus packed per-column deltas, for CP and Tucker caches alike,
+while shipping a fraction of the bytes that embedding the factor arrays
+in every task would cost.
 """
 
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import DbtfConfig, dbtf
+from repro.bitops import BitMatrix
+from repro.core import DbtfConfig, RowSummationCache, dbtf
+from repro.core.partition import build_partition_data, make_partition_plans
+from repro.core.update import (
+    CachedPartition,
+    ColumnSweepTask,
+    _masks_with_bit_cleared,
+)
 from repro.distengine import (
     BroadcastHandle,
     ClusterConfig,
@@ -21,7 +32,13 @@ from repro.distengine import (
 )
 from repro.distengine.broadcast import _STORE, clear_store
 from repro.distengine.shuffle import HANDLE_WIRE_BYTES, TransferKind, estimate_bytes
-from repro.tensor import SparseBoolTensor, planted_tensor
+from repro.tensor import (
+    PackedUnfolding,
+    SparseBoolTensor,
+    planted_tensor,
+    unfold,
+)
+from repro.tucker.distributed import TuckerCachedPartition
 
 
 @pytest.fixture
@@ -79,18 +96,17 @@ class TestBroadcastHandle:
         assert estimate_bytes([handle, handle]) == 2 * HANDLE_WIRE_BYTES + 8
 
     def test_equal_values_share_content_id(self):
-        with SimulatedRuntime(ClusterConfig(dedup_broadcasts=False)) as runtime:
+        with SimulatedRuntime(ClusterConfig()) as runtime:
             first = runtime.broadcast(np.arange(8), name="a")
             second = runtime.broadcast(np.arange(8), name="b")
             assert first.content_id == second.content_id
 
 
-def _dbtf_outcome(tensor, handles, backend="serial", **overrides):
+def _dbtf_outcome(tensor, backend="serial", **overrides):
     config = DbtfConfig(rank=8, max_iterations=2, seed=7, n_partitions=4,
                         **overrides)
     cluster = ClusterConfig(
         n_machines=2, cores_per_machine=2, backend=backend, n_workers=2,
-        handle_broadcasts=handles,
     )
     runtime = SimulatedRuntime(cluster)
     try:
@@ -102,14 +118,47 @@ def _dbtf_outcome(tensor, handles, backend="serial", **overrides):
     return result, by_stage, task_bytes
 
 
-def _per_column_bytes(by_stage):
-    """Driver->worker bytes attributable to the per-column sweep."""
-    column_task = sum(
+def _column_task_bytes(by_stage):
+    """TASK bytes of the column stages (the first one fuses the build)."""
+    return sum(
         value
         for name, value in by_stage.items()
         if "columnErrors" in name and "collect" not in name
     )
-    return column_task + by_stage.get("columnUpdate", 0)
+
+
+def _per_column_bytes(by_stage):
+    """Driver->worker bytes attributable to the per-column sweep."""
+    return _column_task_bytes(by_stage) + by_stage.get("columnUpdate", 0)
+
+
+def _closure_task_bytes(n_rows, outer_rows, inner_rows, rank):
+    """Wire bytes of a column task that embeds the arrays it reads.
+
+    The target masks, the outer factor's words and its column as a 0/1
+    vector, and the inner factor's column packed over the PVM width — what
+    a task must carry when it references no broadcast.
+    """
+    words = -(-rank // 64)
+    return estimate_bytes([
+        np.zeros((n_rows, words), dtype=np.uint64),
+        np.zeros((outer_rows, words), dtype=np.uint64),
+        np.zeros(outer_rows, dtype=np.uint8),
+        np.zeros(-(-inner_rows // 64), dtype=np.uint64),
+    ])
+
+
+def _handle(value):
+    """An in-memory handle, as the driver and thread workers resolve it."""
+    return BroadcastHandle(value, "ab" * 8, "factors", 0)
+
+
+def _partitions(tensor, n_partitions):
+    packed = PackedUnfolding(unfold(tensor, 0))
+    plans = make_partition_plans(
+        packed.block_count, packed.block_width, n_partitions
+    )
+    return build_partition_data(packed, plans)
 
 
 class TestHandlePathEquivalence:
@@ -120,20 +169,10 @@ class TestHandlePathEquivalence:
             rng=np.random.default_rng(11), additive_noise=0.02,
         )[0]
 
-    def test_bit_identical_to_legacy_closures(self, tensor):
-        on, _, _ = _dbtf_outcome(tensor, handles=True)
-        off, _, _ = _dbtf_outcome(tensor, handles=False)
-        assert on.error == off.error
-        assert on.errors_per_iteration == off.errors_per_iteration
-        for handle_factor, legacy_factor in zip(on.factors, off.factors):
-            assert np.array_equal(handle_factor.words, legacy_factor.words)
-
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_bit_identical_across_backends(self, tensor, backend):
-        serial, serial_stages, _ = _dbtf_outcome(tensor, handles=True)
-        other, other_stages, _ = _dbtf_outcome(
-            tensor, handles=True, backend=backend
-        )
+        serial, serial_stages, _ = _dbtf_outcome(tensor)
+        other, other_stages, _ = _dbtf_outcome(tensor, backend=backend)
         assert serial.error == other.error
         assert serial.errors_per_iteration == other.errors_per_iteration
         for serial_factor, other_factor in zip(serial.factors, other.factors):
@@ -142,32 +181,100 @@ class TestHandlePathEquivalence:
         assert serial_stages == other_stages
 
     def test_handles_cut_task_bytes(self, tensor):
-        _, _, task_on = _dbtf_outcome(tensor, handles=True)
-        _, _, task_off = _dbtf_outcome(tensor, handles=False)
-        assert task_on < task_off
+        result, by_stage, _ = _dbtf_outcome(tensor)
+        n_stages = 8 * 3 * len(result.errors_per_iteration)
+        # Every mode's closure task would carry at least the smallest
+        # mode's masks and outer factor; the handle tasks stay below.
+        smallest_closure = min(
+            _closure_task_bytes(n_rows, outer_rows, inner_rows, 8)
+            for n_rows, outer_rows, inner_rows in (
+                (40, 24, 32), (32, 24, 40), (24, 32, 40),
+            )
+        )
+        assert _column_task_bytes(by_stage) < n_stages * 4 * smallest_closure
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rank=st.sampled_from([1, 3, 8, 63, 64, 65, 70, 130]),
+    n_rows=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_sweep_task_rebuilds_cleared_masks(rank, n_rows, seed, data):
+    """After k applied deltas the rebuilt masks equal the updated factor's.
+
+    The oracle is the driver's view: ``BitMatrix.set_column`` per chosen
+    column, then ``_masks_with_bit_cleared`` for the column being swept.
+    The task's errors must then equal the cache's direct evaluation on
+    those masks — for CP and Tucker caches, single- and multi-word masks.
+    """
+    rng = np.random.default_rng(seed)
+    column = data.draw(st.integers(min_value=0, max_value=rank - 1))
+    # Skipped (clean) columns leave gaps, so the applied set is any
+    # subset of the earlier columns, applied in sweep order.
+    applied = data.draw(st.sets(st.integers(0, column - 1))) if column else set()
+    base = BitMatrix.random(n_rows, rank, 0.4, rng)
+    updated = base.copy()
+    deltas = []
+    for applied_column in sorted(applied):
+        chosen = (rng.random(n_rows) < 0.5).astype(np.uint8)
+        updated.set_column(applied_column, chosen)
+        deltas.append((applied_column, _handle(np.packbits(chosen))))
+    outer = BitMatrix.random(3, rank, 0.4, rng)
+    inner = BitMatrix.random(5, rank, 0.4, rng)
+    task = ColumnSweepTask(
+        _handle([base.words, outer.words, inner.words]), column,
+        tuple(deltas), n_rows,
+    )
+    cleared = _masks_with_bit_cleared(updated.words, column)
+    np.testing.assert_array_equal(task.masks(), cleared)
+
+    tensor = SparseBoolTensor.from_dense(
+        (rng.random((n_rows, 5, 3)) < 0.3).astype(np.uint8)
+    )
+    cache = RowSummationCache(inner, group_size=4)
+    tucker_outer = BitMatrix.random(3, 2, 0.5, rng)
+    tucker_inner = BitMatrix.random(5, 3, 0.5, rng)
+    core_perm = (rng.random((rank, 3, 2)) < 0.3).astype(np.uint8)
+    for part in _partitions(tensor, 2):
+        cp = CachedPartition(part, cache)
+        expected = cp.column_errors(
+            cleared, outer.words, outer.column(column),
+            inner.transpose().words[column],
+        )
+        tucker = TuckerCachedPartition(
+            part, tucker_outer, tucker_inner, core_perm, 4
+        )
+        for cached, want in ((cp, expected),
+                             (tucker, tucker.column_errors(cleared, column))):
+            got = task(cached)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestPerColumnByteDrop:
     def test_at_least_5x_drop_at_rank8_dim128(self):
-        """The headline regression: rank 8, dim 128, >=5x per-column drop."""
+        """The headline regression: rank 8, dim 128, >=5x per-column drop.
+
+        The baseline is analytic: each of a column stage's four tasks
+        would embed the masks, the outer factor and both columns.
+        """
         rng = np.random.default_rng(0)
         dense = (rng.random((128, 128, 128)) < 0.01).astype(np.uint8)
         tensor = SparseBoolTensor.from_dense(dense)
         config = DbtfConfig(rank=8, max_iterations=1, seed=3, n_partitions=4)
-        per_column = {}
-        for handles in (True, False):
-            cluster = ClusterConfig(handle_broadcasts=handles)
-            runtime = SimulatedRuntime(cluster)
-            try:
-                result = dbtf(tensor, config=config, runtime=runtime)
-                per_column[handles] = _per_column_bytes(
-                    dict(runtime.ledger.by_stage)
-                )
-                error = result.error
-            finally:
-                runtime.close()
-        ratio = per_column[False] / per_column[True]
+        runtime = SimulatedRuntime(ClusterConfig())
+        try:
+            result = dbtf(tensor, config=config, runtime=runtime)
+            per_column = _per_column_bytes(dict(runtime.ledger.by_stage)) / (
+                8 * 3 * len(result.errors_per_iteration)
+            )
+        finally:
+            runtime.close()
+        closure = 4 * _closure_task_bytes(128, 128, 128, 8)
+        ratio = closure / per_column
         assert ratio >= 5.0, (
-            f"per-column broadcast bytes dropped only {ratio:.2f}x "
-            f"({per_column[False]} -> {per_column[True]})"
+            f"per-column bytes dropped only {ratio:.2f}x "
+            f"({closure} -> {per_column})"
         )

@@ -1,12 +1,15 @@
-"""Worker-side bucketed shuffle plane vs the legacy driver-routed path.
+"""The bucketed shuffle plane of ``combine_by_key`` against a driver oracle.
 
-The central contract: ``ClusterConfig(worker_shuffle=True)`` (the default)
-must produce bit-identical result partitions and identical SHUFFLE ledger
-charges to the legacy driver-side per-pair loop, for every partition shape
-— empty partitions, growing/shrinking ``n_partitions``, keys duplicated
-across every source — on the serial, thread, and process backends, with
-and without a memory budget.  A hypothesis property pins the equivalence
-over randomized keyed datasets.
+The central contract: the worker-side bucketing must produce exactly the
+result partitions and SHUFFLE ledger charges of a short pure-Python driver
+oracle — pre-combine each source partition, route every ``(key,
+combiner)`` pair by ``stable_hash(key) % n_target`` in (source partition,
+insertion) order, merge per bucket, and size each pair with
+``estimate_bytes`` — for every partition shape (empty partitions,
+growing/shrinking ``n_partitions``, keys duplicated across every source),
+on the serial, thread, and process backends, with and without a memory
+budget.  A hypothesis property pins the equivalence over randomized keyed
+datasets.
 """
 
 import numpy as np
@@ -14,7 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distengine import ClusterConfig, SimulatedRuntime, TransferKind
+from repro.distengine import (
+    ClusterConfig,
+    SimulatedRuntime,
+    TransferKind,
+    estimate_bytes,
+    stable_hash,
+)
 
 BACKENDS = ["serial", "thread", "process"]
 
@@ -42,7 +51,6 @@ def _combine(
     data,
     n_source,
     n_target=None,
-    worker_shuffle=True,
     backend="serial",
     memory_budget=None,
 ):
@@ -50,7 +58,7 @@ def _combine(
     runtime = SimulatedRuntime(
         ClusterConfig(
             n_machines=2, cores_per_machine=2, backend=backend, n_workers=2,
-            worker_shuffle=worker_shuffle, memory_budget=memory_budget,
+            memory_budget=memory_budget,
         )
     )
     try:
@@ -64,6 +72,44 @@ def _combine(
         runtime.close()
 
 
+def _driver_oracle(data, n_source, n_target=None):
+    """(partitions, shuffle bytes) of a driver that routes every pair itself.
+
+    Sources are split like ``parallelize`` (contiguous, near-equal); each
+    pre-combines its pairs, then every ``(key, combiner)`` is routed in
+    (source partition, insertion) order and merged into its bucket.
+    """
+    n_target = n_target or n_source
+    base, extra = divmod(len(data), n_source)
+    buckets = [{} for _ in range(n_target)]
+    shuffle_bytes = 0
+    cursor = 0
+    for index in range(n_source):
+        size = base + (1 if index < extra else 0)
+        combiners = {}
+        for key, value in data[cursor:cursor + size]:
+            combiners[key] = (
+                _add(combiners[key], value) if key in combiners
+                else _copy(value)
+            )
+        cursor += size
+        for key, combiner in combiners.items():
+            shuffle_bytes += estimate_bytes(key) + estimate_bytes(combiner)
+            bucket = buckets[stable_hash(key) % n_target]
+            bucket[key] = (
+                _add(bucket[key], combiner) if key in bucket else combiner
+            )
+    return _normalize([list(b.items()) for b in buckets]), shuffle_bytes
+
+
+def _assert_matches_oracle(data, n_source, n_target=None, **kwargs):
+    got, got_bytes, counters = _combine(data, n_source, n_target, **kwargs)
+    expected, expected_bytes = _driver_oracle(data, n_source, n_target)
+    assert got == expected
+    assert got_bytes == expected_bytes
+    return got, counters
+
+
 def _array_data(n_items, n_keys=7):
     return [
         (i % n_keys, np.arange(4, dtype=np.int64) + i) for i in range(n_items)
@@ -72,75 +118,54 @@ def _array_data(n_items, n_keys=7):
 
 class TestWorkerVsDriverEquivalence:
     def test_partitions_and_bytes_identical(self):
-        data = _array_data(120)
-        worker, worker_bytes, _ = _combine(data, 6, worker_shuffle=True)
-        legacy, legacy_bytes, _ = _combine(data, 6, worker_shuffle=False)
-        assert worker == legacy
-        assert worker_bytes == legacy_bytes
+        _assert_matches_oracle(_array_data(120), 6)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_invariant(self, backend):
-        data = _array_data(80)
-        base, base_bytes, _ = _combine(data, 4)
-        got, got_bytes, _ = _combine(data, 4, backend=backend)
-        assert got == base
-        assert got_bytes == base_bytes
+        _assert_matches_oracle(_array_data(80), 4, backend=backend)
 
     def test_integer_values(self):
-        data = [(i % 5, i) for i in range(200)]
-        worker, worker_bytes, _ = _combine(data, 8)
-        legacy, legacy_bytes, _ = _combine(data, 8, worker_shuffle=False)
-        assert worker == legacy
-        assert worker_bytes == legacy_bytes
+        _assert_matches_oracle([(i % 5, i) for i in range(200)], 8)
 
     def test_routing_timer_recorded_on_both_paths(self):
+        # In-memory buckets only, and buckets spliced from spilled runs (a
+        # spilling map task pre-combines in smaller splits, so only the
+        # merged partitions — not the shuffle bytes — match the oracle).
         data = _array_data(40)
-        for worker_shuffle in (True, False):
-            _, _, counters = _combine(data, 4, worker_shuffle=worker_shuffle)
+        expected, _ = _driver_oracle(data, 4)
+        for memory_budget in (None, 500):
+            got, _, counters = _combine(data, 4, memory_budget=memory_budget)
+            assert got == expected
+            spilled = bool(counters.get("shuffle_spill_total"))
+            assert spilled == (memory_budget is not None)
             routing = counters.get("shuffle_routing_seconds_total", {})
             assert routing, "routing timer missing"
             assert all(value >= 0.0 for value in routing.values())
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("worker_shuffle", [True, False])
-    def test_empty_input(self, worker_shuffle):
+    @pytest.mark.parametrize("budgeted", [True, False])
+    def test_empty_input(self, budgeted):
         partitions, shuffle_bytes, _ = _combine(
-            [], 4, worker_shuffle=worker_shuffle
+            [], 4, memory_budget=500 if budgeted else None
         )
         assert partitions == [[] for _ in range(4)]
         assert shuffle_bytes == 0
 
     def test_more_partitions_than_items(self):
-        data = [(0, 1), (1, 2)]
-        worker, worker_bytes, _ = _combine(data, 8)
-        legacy, legacy_bytes, _ = _combine(data, 8, worker_shuffle=False)
-        assert worker == legacy
-        assert worker_bytes == legacy_bytes
+        _assert_matches_oracle([(0, 1), (1, 2)], 8)
 
     def test_partition_growth(self):
-        data = _array_data(30)
-        worker, wb, _ = _combine(data, 2, n_target=8)
-        legacy, lb, _ = _combine(data, 2, n_target=8, worker_shuffle=False)
-        assert len(worker) == 8
-        assert worker == legacy
-        assert wb == lb
+        got, _ = _assert_matches_oracle(_array_data(30), 2, n_target=8)
+        assert len(got) == 8
 
     def test_partition_shrink(self):
-        data = _array_data(30)
-        worker, wb, _ = _combine(data, 8, n_target=2)
-        legacy, lb, _ = _combine(data, 8, n_target=2, worker_shuffle=False)
-        assert len(worker) == 2
-        assert worker == legacy
-        assert wb == lb
+        got, _ = _assert_matches_oracle(_array_data(30), 8, n_target=2)
+        assert len(got) == 2
 
     def test_single_target_partition(self):
-        data = _array_data(30)
-        worker, wb, _ = _combine(data, 4, n_target=1)
-        legacy, lb, _ = _combine(data, 4, n_target=1, worker_shuffle=False)
-        assert len(worker) == 1
-        assert worker == legacy
-        assert wb == lb
+        got, _ = _assert_matches_oracle(_array_data(30), 4, n_target=1)
+        assert len(got) == 1
 
     def test_duplicate_keys_across_all_sources(self):
         # Every source partition holds every key, so every reduce bucket
@@ -151,17 +176,12 @@ class TestEdgeCases:
         for source in range(n_source):
             for key in range(10):
                 data.append((key, np.full(3, source + 1, dtype=np.int64)))
-        worker, wb, _ = _combine(data, n_source)
-        legacy, lb, _ = _combine(data, n_source, worker_shuffle=False)
-        assert worker == legacy
-        assert wb == lb
+        _assert_matches_oracle(data, n_source)
 
     def test_none_values_and_string_keys(self):
         data = [(f"k{i % 3}", i) for i in range(20)] + [("k0", 0)]
-        worker, wb, _ = _combine(data, 3)
-        legacy, lb, _ = _combine(data, 3, worker_shuffle=False)
-        assert worker == legacy
-        assert wb == lb
+        data += [(None, i) for i in range(4)]
+        _assert_matches_oracle(data, 3)
 
 
 class TestBudgetedWorkerShuffle:
@@ -219,12 +239,5 @@ class TestBudgetedWorkerShuffle:
     n_target=st.integers(1, 6),
 )
 def test_worker_routing_matches_driver_routing(items, n_source, n_target):
-    """Property: identical buckets and identical ledger totals on both paths."""
-    worker, worker_bytes, _ = _combine(
-        items, n_source, n_target=n_target, worker_shuffle=True
-    )
-    legacy, legacy_bytes, _ = _combine(
-        items, n_source, n_target=n_target, worker_shuffle=False
-    )
-    assert worker == legacy
-    assert worker_bytes == legacy_bytes
+    """Property: identical buckets and ledger totals to the driver oracle."""
+    _assert_matches_oracle(items, n_source, n_target=n_target)

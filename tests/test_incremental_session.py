@@ -279,3 +279,33 @@ class TestErrorPaths:
             FactorizationSession(tensor, _config(), keep_last=0)
         with pytest.raises(ValueError, match="checkpoint_every"):
             FactorizationSession(tensor, _config(), checkpoint_every=0)
+
+
+class TestRuntimeOverrides:
+    """A session rejects overrides its supplied runtime would ignore."""
+
+    @pytest.mark.parametrize("field,override", [
+        ("backend", {"backend": "thread"}),
+        ("n_workers", {"n_workers": 3}),
+        ("tracing", {"tracing": True}),
+        ("memory_budget", {"memory_budget": 1 << 20}),
+        ("spill_dir", {"spill_dir": "/nonexistent-spill-root"}),
+    ])
+    def test_conflicting_override_names_the_field(self, field, override):
+        config = DbtfConfig(rank=3, seed=0, n_partitions=2, **override)
+        with SimulatedRuntime(ClusterConfig()) as runtime:
+            with pytest.raises(ValueError, match=f"DbtfConfig.{field}="):
+                FactorizationSession(_tensor(), config, runtime)
+
+    def test_budget_override_with_matching_runtime_runs_budgeted(self):
+        config = _config(memory_budget=1 << 20)
+        with SimulatedRuntime(config.resolved_cluster()) as runtime:
+            with FactorizationSession(_tensor(), config, runtime) as session:
+                epoch = session.factorize()
+            assert runtime.storage is not None
+        assert epoch.result.error >= 0
+
+    def test_unset_overrides_accept_any_runtime(self):
+        with SimulatedRuntime(ClusterConfig(tracing=True)) as runtime:
+            with FactorizationSession(_tensor(), _config(), runtime) as session:
+                assert session.factorize().epoch == 0

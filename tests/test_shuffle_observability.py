@@ -1,6 +1,6 @@
 """Shuffle observability: histogram, spill counter, per-bucket span events.
 
-Every ``combine_by_key`` — on either routing path — must land one
+Every ``combine_by_key`` — with or without spilled runs — must land one
 ``shuffle`` span event per reduce bucket (with bucket index, bytes,
 segment and spill counts), observe each bucket's bytes into the
 ``shuffle_bucket_bytes`` histogram, and count spilled runs in
@@ -15,7 +15,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.distengine import ClusterConfig, SimulatedRuntime, TransferKind
+from repro.distengine import (
+    ClusterConfig,
+    SimulatedRuntime,
+    TransferKind,
+    estimate_bytes,
+    stable_hash,
+)
 from repro.observability import SpanKind, structural_tree
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
@@ -32,22 +38,44 @@ def _add(left, right):
     return left + right
 
 
-def _traced_run(
-    backend="serial", worker_shuffle=True, memory_budget=None
-) -> SimulatedRuntime:
+def _data():
+    return [(i % 9, np.arange(6, dtype=np.int64) + i) for i in range(180)]
+
+
+def _oracle_bucket_bytes(n_source=6, n_target=4):
+    """Per-bucket wire bytes of the workload, routed pair by pair.
+
+    Each of the ``n_source`` equal contiguous source partitions
+    pre-combines its pairs; every ``(key, combiner)`` is then sized with
+    ``estimate_bytes`` and charged to bucket ``stable_hash(key) % n_target``.
+    """
+    data = _data()
+    size = len(data) // n_source
+    bucket_bytes = [0] * n_target
+    for start in range(0, len(data), size):
+        combiners = {}
+        for key, value in data[start:start + size]:
+            combiners[key] = (
+                _add(combiners[key], value) if key in combiners
+                else _copy(value)
+            )
+        for key, combiner in combiners.items():
+            bucket_bytes[stable_hash(key) % n_target] += (
+                estimate_bytes(key) + estimate_bytes(combiner)
+            )
+    return bucket_bytes
+
+
+def _traced_run(backend="serial", memory_budget=None) -> SimulatedRuntime:
     """A fixed keyed workload through combine_by_key with tracing on."""
     runtime = SimulatedRuntime(
         ClusterConfig(
             n_machines=2, cores_per_machine=2, backend=backend, n_workers=2,
-            tracing=True, worker_shuffle=worker_shuffle,
-            memory_budget=memory_budget,
+            tracing=True, memory_budget=memory_budget,
         )
     )
     try:
-        data = [
-            (i % 9, np.arange(6, dtype=np.int64) + i) for i in range(180)
-        ]
-        rdd = runtime.parallelize(data, n_partitions=6, name="kv")
+        rdd = runtime.parallelize(_data(), n_partitions=6, name="kv")
         rdd.combine_by_key(_copy, _add, _add, n_partitions=4).glom()
     finally:
         runtime.close()
@@ -76,9 +104,9 @@ def _histogram_snapshots(runtime, name):
 
 
 class TestShuffleEvents:
-    @pytest.mark.parametrize("worker_shuffle", [True, False])
-    def test_one_event_per_bucket(self, worker_shuffle):
-        runtime = _traced_run(worker_shuffle=worker_shuffle)
+    @pytest.mark.parametrize("budgeted", [True, False])
+    def test_one_event_per_bucket(self, budgeted):
+        runtime = _traced_run(memory_budget=2500 if budgeted else None)
         events = _shuffle_events(runtime)
         assert [event.attrs["bucket"] for event in events] == [0, 1, 2, 3]
         assert all(event.attrs["bytes"] >= 0 for event in events)
@@ -91,17 +119,17 @@ class TestShuffleEvents:
         )
 
     def test_events_identical_across_paths(self):
-        worker = _traced_run(worker_shuffle=True)
-        legacy = _traced_run(worker_shuffle=False)
-        worker_view = [
+        # Bytes measured inside the map tasks equal the driver-side
+        # pair-by-pair oracle, bucket for bucket.
+        view = [
             (e.name, e.attrs["bucket"], e.attrs["bytes"])
-            for e in _shuffle_events(worker)
+            for e in _shuffle_events(_traced_run())
         ]
-        legacy_view = [
-            (e.name, e.attrs["bucket"], e.attrs["bytes"])
-            for e in _shuffle_events(legacy)
+        expected = [
+            ("kv.combineByKey", bucket, n_bytes)
+            for bucket, n_bytes in enumerate(_oracle_bucket_bytes())
         ]
-        assert worker_view == legacy_view
+        assert view == expected
 
     def test_spilled_buckets_flagged(self):
         runtime = _traced_run(memory_budget=2500)
@@ -122,12 +150,19 @@ class TestShuffleMetrics:
         )
 
     def test_histogram_identical_across_paths(self):
-        worker = _traced_run(worker_shuffle=True)
-        legacy = _traced_run(worker_shuffle=False)
-        assert (
-            _histogram_snapshots(worker, "shuffle_bucket_bytes")
-            == _histogram_snapshots(legacy, "shuffle_bucket_bytes")
+        expected = _oracle_bucket_bytes()
+        (snapshot,) = _histogram_snapshots(
+            _traced_run(), "shuffle_bucket_bytes"
+        ).values()
+        assert snapshot["count"] == len(expected)
+        assert snapshot["sum"] == sum(expected)
+        assert (snapshot["min"], snapshot["max"]) == (
+            min(expected), max(expected)
         )
+        # The process backend observes the same buckets.
+        assert _histogram_snapshots(
+            _traced_run(backend="process"), "shuffle_bucket_bytes"
+        ) == _histogram_snapshots(_traced_run(), "shuffle_bucket_bytes")
 
     def test_spill_total_absent_without_budget(self):
         runtime = _traced_run()
