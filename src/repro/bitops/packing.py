@@ -66,8 +66,12 @@ def pack_bits(dense: np.ndarray) -> np.ndarray:
 
 
 def unpack_bits(packed: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; returns a uint8 0/1 array."""
+    """Inverse of :func:`pack_bits`; returns a uint8 0/1 array.
+
+    Raises ``ValueError`` when ``n_bits`` exceeds the packed width.
+    """
     packed = np.ascontiguousarray(packed, dtype=_WORD_DTYPE)
+    _check_within_width(packed, n_bits)
     as_bytes = packed.view(np.uint8)
     bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
     return bits[..., :n_bits]
@@ -84,20 +88,26 @@ def popcount_rows(packed: np.ndarray) -> np.ndarray:
 
 
 def xor_popcount_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row ``popcount(a ^ b)`` with one temporary instead of two.
+    """Per-row ``popcount(a ^ b)`` (sum over the trailing word axis).
 
-    The error kernel's inner loop is XOR-then-popcount; counting bits in
-    place into the XOR buffer halves the allocation traffic versus
-    ``popcount_rows(a ^ b)`` while returning the identical int64 sums.
+    The error kernel's inner loop: returns int64 sums with the operands'
+    broadcast leading shape.
     """
-    xored = np.bitwise_xor(a, b)
-    return np.bitwise_count(xored, out=xored).sum(axis=-1, dtype=np.int64)
+    return np.bitwise_count(np.bitwise_xor(a, b)).sum(axis=-1, dtype=np.int64)
 
 
 def xor_popcount(a: np.ndarray, b: np.ndarray) -> int:
     """Total ``popcount(a ^ b)`` — the Hamming distance of packed arrays."""
-    xored = np.bitwise_xor(a, b)
-    return int(np.bitwise_count(xored, out=xored).sum(dtype=np.int64))
+    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum(dtype=np.int64))
+
+
+def _check_within_width(packed: np.ndarray, stop: int) -> None:
+    """Reject bit positions past the packed width of ``packed``."""
+    width = WORD_BITS * packed.shape[-1]
+    if stop > width:
+        raise ValueError(
+            f"bit range ends at {stop}, past the packed width {width}"
+        )
 
 
 def slice_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -105,10 +115,12 @@ def slice_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
 
     The result is re-packed so the extracted range starts at bit 0.  Used to
     derive the narrow per-block cache tables of Lemma 3 (block types 1/2/4)
-    from a full-width pointwise vector-matrix product table.
+    from a full-width pointwise vector-matrix product table.  Raises
+    ``ValueError`` when ``stop`` exceeds the packed width.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"invalid bit range [{start}, {stop})")
+    _check_within_width(packed, stop)
     width = stop - start
     if width == 0:
         return np.zeros(packed.shape[:-1] + (0,), dtype=_WORD_DTYPE)

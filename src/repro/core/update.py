@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..bitops import BitMatrix, packing
-from ..bitops.ops import xor_popcount_rows
+from ..bitops.packing import xor_popcount_rows
 from ..distengine import Distributed, SimulatedRuntime
 from ..observability.trace import kernel_span
 from .cache import RowSummationCache

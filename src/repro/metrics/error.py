@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bitops import BitMatrix, packing
-from ..bitops.ops import xor_popcount
+from ..bitops.packing import xor_popcount
 from ..core.cache import RowSummationCache
 from ..tensor import PackedUnfolding, SparseBoolTensor, tensor_from_factors, unfold
 

@@ -1,23 +1,36 @@
-"""Differential correctness harness for the kernel-dispatch registry.
+"""Differential correctness harness for the public Boolean kernels.
 
-Every registered implementation of every kernel must produce bit-identical
-packed words on the same inputs — this is the contract that lets the
-dispatch tier (heuristic, autotuned, or forced) change *speed* without
-ever changing *results*.  Shapes cover the degenerate cases dispatch has
-to survive: 0-row/0-column operands, the exact batched-path threshold,
-and >64-column multi-word rows.
+Every public kernel in :mod:`repro.bitops` is pinned bit-identical to an
+independent reference on the same inputs: the loop-form ``_*_rowloop``
+functions for the matrix kernels, and a dense unpack-and-compare oracle
+for the XOR-popcount error kernels.  ``KERNEL_TABLE`` lists the pairs.
+Shapes cover the degenerate cases the kernels have to survive: 0-row/
+0-column operands, the exact batched-matmul row threshold, and >64-column
+multi-word rows.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitops import BitMatrix
-from repro.bitops import dispatch
-from repro.bitops.ops import _BATCH_MIN_ROWS
+from repro.bitops import BitMatrix, ops, packing
+from repro.bitops.ops import (
+    _BATCH_MIN_ROWS,
+    _boolean_matmul_batched,
+    _boolean_matmul_rowloop,
+    _khatri_rao_rowloop,
+    _pointwise_rowloop,
+    boolean_matmul,
+    khatri_rao,
+    pointwise_vector_matrix,
+    xor_popcount,
+    xor_popcount_rows,
+)
 
 #: Dimensions that historically break packed-bit kernels: empty, single,
 #: word-boundary straddlers (63/64/65), the batched-matmul threshold, and
@@ -29,18 +42,35 @@ dims = st.sampled_from(EDGE_DIMS) | st.integers(min_value=0, max_value=140)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _impl_items(kernel_name):
-    entry = dispatch.kernel(kernel_name)
-    return sorted(entry.impls.items())
+def _dense_xor_rows(a, b):
+    """Oracle: differing bits per row, counted on the unpacked 0/1 arrays."""
+    a_bits = packing.unpack_bits(a, packing.WORD_BITS * a.shape[-1])
+    b_bits = packing.unpack_bits(b, packing.WORD_BITS * b.shape[-1])
+    return (a_bits != b_bits).sum(axis=-1, dtype=np.int64)
 
 
-def _assert_all_equal(kernel_name, reference, outputs):
-    for name, out in outputs:
-        assert out == reference, (
-            f"{kernel_name} impl {name!r} diverged from the reference "
-            f"on shape {reference.shape}"
-        )
-        assert out.words.dtype == np.uint64
+def _dense_xor_total(a, b):
+    return int(_dense_xor_rows(a, b).sum())
+
+
+#: Public kernel -> independent reference it must match bit for bit.
+KERNEL_TABLE = {
+    "boolean_matmul": (boolean_matmul, _boolean_matmul_rowloop),
+    "khatri_rao": (khatri_rao, _khatri_rao_rowloop),
+    "pointwise_vector_matrix": (pointwise_vector_matrix, _pointwise_rowloop),
+    "xor_popcount": (xor_popcount, _dense_xor_total),
+    "xor_popcount_rows": (xor_popcount_rows, _dense_xor_rows),
+}
+
+
+def _assert_matches_reference(kernel_name, args):
+    kernel, reference = KERNEL_TABLE[kernel_name]
+    expected = reference(*args)
+    actual = kernel(*args)
+    assert actual == expected, (
+        f"{kernel_name} diverged from its reference on shape {expected.shape}"
+    )
+    assert actual.words.dtype == np.uint64
 
 
 class TestBooleanMatmulDifferential:
@@ -50,28 +80,23 @@ class TestBooleanMatmulDifferential:
         rng = np.random.default_rng(seed)
         left = BitMatrix.random(m, k, 0.3, rng)
         right = BitMatrix.random(k, n, 0.3, rng)
-        entry = dispatch.kernel("boolean_matmul")
-        reference = entry.reference.fn(left, right)
-        outputs = [
-            (name, spec.fn(left, right))
-            for name, spec in _impl_items("boolean_matmul")
-            if spec.eligible()
-        ]
-        _assert_all_equal("boolean_matmul", reference, outputs)
+        _assert_matches_reference("boolean_matmul", (left, right))
+        # The batched body is checked directly too, whatever the row count.
+        assert _boolean_matmul_batched(left, right) == _boolean_matmul_rowloop(
+            left, right
+        )
 
     @pytest.mark.parametrize(
         "m", [_BATCH_MIN_ROWS - 1, _BATCH_MIN_ROWS, _BATCH_MIN_ROWS + 1]
     )
     def test_at_threshold_rows(self, m):
-        """The exact dispatch boundary gets explicit (non-random) coverage."""
+        """The exact row threshold gets explicit (non-random) coverage."""
         rng = np.random.default_rng(7)
         left = BitMatrix.random(m, 70, 0.4, rng)
         right = BitMatrix.random(70, 130, 0.4, rng)
-        entry = dispatch.kernel("boolean_matmul")
-        reference = entry.reference.fn(left, right)
-        for name, spec in _impl_items("boolean_matmul"):
-            if spec.eligible():
-                assert spec.fn(left, right) == reference, name
+        reference = _boolean_matmul_rowloop(left, right)
+        assert boolean_matmul(left, right) == reference
+        assert _boolean_matmul_batched(left, right) == reference
 
 
 class TestKhatriRaoDifferential:
@@ -86,14 +111,7 @@ class TestKhatriRaoDifferential:
         rng = np.random.default_rng(seed)
         left = BitMatrix.random(p, r, 0.4, rng)
         right = BitMatrix.random(q, r, 0.4, rng)
-        entry = dispatch.kernel("khatri_rao")
-        reference = entry.reference.fn(left, right)
-        outputs = [
-            (name, spec.fn(left, right))
-            for name, spec in _impl_items("khatri_rao")
-            if spec.eligible()
-        ]
-        _assert_all_equal("khatri_rao", reference, outputs)
+        _assert_matches_reference("khatri_rao", (left, right))
 
 
 class TestPointwiseDifferential:
@@ -103,14 +121,7 @@ class TestPointwiseDifferential:
         rng = np.random.default_rng(seed)
         matrix = BitMatrix.random(rows, cols, 0.4, rng)
         vector = (rng.random(cols) < 0.5).astype(np.uint8)
-        entry = dispatch.kernel("pointwise_vector_matrix")
-        reference = entry.reference.fn(vector, matrix)
-        outputs = [
-            (name, spec.fn(vector, matrix))
-            for name, spec in _impl_items("pointwise_vector_matrix")
-            if spec.eligible()
-        ]
-        _assert_all_equal("pointwise_vector_matrix", reference, outputs)
+        _assert_matches_reference("pointwise_vector_matrix", (vector, matrix))
 
 
 class TestXorPopcountDifferential:
@@ -120,13 +131,11 @@ class TestXorPopcountDifferential:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 1 << 64, size=(rows, words), dtype=np.uint64)
         b = rng.integers(0, 1 << 64, size=(rows, words), dtype=np.uint64)
-        entry = dispatch.kernel("xor_popcount_rows")
-        reference = entry.reference.fn(a, b)
-        for name, spec in _impl_items("xor_popcount_rows"):
-            if spec.eligible():
-                out = np.asarray(spec.fn(a, b))
-                assert out.shape == reference.shape, name
-                assert np.array_equal(out, reference), name
+        out = xor_popcount_rows(a, b)
+        expected = _dense_xor_rows(a, b)
+        assert out.dtype == np.int64
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
 
     @settings(max_examples=40, deadline=None)
     @given(rows=dims, words=st.sampled_from([0, 1, 2, 3, 9]), seed=seeds)
@@ -134,90 +143,71 @@ class TestXorPopcountDifferential:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 1 << 64, size=(rows, words), dtype=np.uint64)
         b = rng.integers(0, 1 << 64, size=(rows, words), dtype=np.uint64)
-        entry = dispatch.kernel("xor_popcount")
-        reference = entry.reference.fn(a, b)
-        for name, spec in _impl_items("xor_popcount"):
-            if spec.eligible():
-                assert int(spec.fn(a, b)) == reference, name
+        total = xor_popcount(a, b)
+        assert type(total) is int
+        assert total == _dense_xor_total(a, b)
 
     def test_three_dimensional_operands(self):
         """The CP hot path calls the rows kernel on (rows, blocks, words)."""
         rng = np.random.default_rng(3)
         a = rng.integers(0, 1 << 64, size=(11, 4, 3), dtype=np.uint64)
         b = rng.integers(0, 1 << 64, size=(11, 4, 3), dtype=np.uint64)
-        entry = dispatch.kernel("xor_popcount_rows")
-        reference = entry.reference.fn(a, b)
-        assert reference.shape == (11, 4)
-        for name, spec in _impl_items("xor_popcount_rows"):
-            if spec.eligible():
-                assert np.array_equal(np.asarray(spec.fn(a, b)), reference), name
+        out = xor_popcount_rows(a, b)
+        assert out.shape == (11, 4)
+        assert np.array_equal(out, _dense_xor_rows(a, b))
+        assert xor_popcount(a, b) == _dense_xor_total(a, b)
 
     def test_broadcast_operands(self):
         """Broadcasting (1, W) against (N, W) must match materialized inputs."""
         rng = np.random.default_rng(4)
         a = rng.integers(0, 1 << 64, size=(1, 5), dtype=np.uint64)
         b = rng.integers(0, 1 << 64, size=(24, 5), dtype=np.uint64)
-        entry = dispatch.kernel("xor_popcount_rows")
-        reference = entry.reference.fn(np.broadcast_to(a, b.shape), b)
-        for name, spec in _impl_items("xor_popcount_rows"):
-            if spec.eligible():
-                assert np.array_equal(np.asarray(spec.fn(a, b)), reference), name
+        expected = _dense_xor_rows(np.broadcast_to(a, b.shape), b)
+        assert np.array_equal(xor_popcount_rows(a, b), expected)
 
 
-class TestRegistryCompleteness:
-    """The registry itself is part of the contract the harness verifies."""
+class TestKernelTable:
+    """The pair table itself is part of the contract the harness verifies."""
 
-    EXPECTED = {
-        "boolean_matmul": {"rowloop", "batched", "bulk"},
-        "khatri_rao": {"rowloop", "broadcast", "bulk"},
-        "pointwise_vector_matrix": {"rowloop", "mask"},
-        "xor_popcount": {"twopass", "fused"},
-        "xor_popcount_rows": {"twopass", "fused"},
-    }
+    def test_table_covers_every_public_kernel(self):
+        public = set(ops.__all__) - {"or_accumulate_table"}
+        assert set(KERNEL_TABLE) == public
 
-    def test_every_kernel_registered_with_expected_impls(self):
-        assert set(self.EXPECTED) <= set(dispatch.kernel_names())
-        for kernel_name, expected in self.EXPECTED.items():
-            registered = set(dispatch.kernel(kernel_name).impls)
-            assert expected == registered, kernel_name
-            assert not registered & dispatch.RETIRED_IMPLS, kernel_name
+    def test_every_kernel_has_an_independent_reference(self):
+        for kernel_name, (kernel, reference) in KERNEL_TABLE.items():
+            assert kernel is getattr(ops, kernel_name)
+            assert reference is not kernel, kernel_name
 
-    def test_every_kernel_has_a_reference_impl(self):
-        for kernel_name in self.EXPECTED:
-            entry = dispatch.kernel(kernel_name)
-            assert entry.reference_name is not None
-            assert entry.reference.reference
+    def test_row_threshold_picks_the_matmul_body(self, monkeypatch):
+        """Below ``_BATCH_MIN_ROWS`` the row loop runs, from it the gather."""
+        calls = []
 
-    def test_batched_matmul_declares_endianness_requirement(self):
-        spec = dispatch.kernel("boolean_matmul").impls["batched"]
-        assert spec.needs_little_endian
+        def spy(left, right):
+            calls.append(left.n_rows)
+            return _boolean_matmul_batched(left, right)
+
+        monkeypatch.setattr(ops, "_boolean_matmul_batched", spy)
+        rng = np.random.default_rng(5)
+        right = BitMatrix.random(20, 30, 0.4, rng)
+        for m in (_BATCH_MIN_ROWS - 1, _BATCH_MIN_ROWS):
+            boolean_matmul(BitMatrix.random(m, 20, 0.4, rng), right)
+        assert calls == ([_BATCH_MIN_ROWS] if sys.byteorder == "little" else [])
 
     def test_little_endian_guard_forces_rowloop(self, monkeypatch):
-        """The previously untested byteorder guard, now via the registry.
+        """On a big-endian host the byte-view gather must never run.
 
         Compute the batched result first (on this little-endian host), then
-        monkeypatch the reported byteorder: the batched impl must become
-        ineligible, the fixed-tier heuristic must fall back to the row
-        loop, and the row-loop output must equal the batched one.
+        monkeypatch the reported byteorder: the public kernel must take the
+        row loop, and its output must equal the batched one.
         """
-        import sys as real_sys
-
-        from repro.bitops import boolean_matmul
-        from repro.bitops import dispatch as dispatch_module
-
         rng = np.random.default_rng(11)
         left = BitMatrix.random(_BATCH_MIN_ROWS + 8, 70, 0.4, rng)
         right = BitMatrix.random(70, 90, 0.4, rng)
-        entry = dispatch.kernel("boolean_matmul")
-        batched_expected = entry.impls["batched"].fn(left, right)
+        batched_expected = _boolean_matmul_batched(left, right)
 
-        monkeypatch.setattr(real_sys, "byteorder", "big")
-        assert not entry.impls["batched"].eligible()
-        dispatcher = dispatch_module.KernelDispatcher(tier="fixed")
-        shape = (left.n_rows, left.n_cols, right.n_cols)
-        assert dispatcher.choose("boolean_matmul", shape) == "rowloop"
-        # Forcing the batched tier must also refuse the ineligible impl.
-        forced = dispatch_module.KernelDispatcher(tier="batched")
-        assert forced.choose("boolean_matmul", shape) == "rowloop"
-        # And the public wrapper's output is unchanged.
+        def refuse(left, right):
+            raise AssertionError("batched gather ran on a big-endian host")
+
+        monkeypatch.setattr(sys, "byteorder", "big")
+        monkeypatch.setattr(ops, "_boolean_matmul_batched", refuse)
         assert boolean_matmul(left, right) == batched_expected

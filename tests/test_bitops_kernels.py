@@ -2,8 +2,8 @@
 
 Every vectorized fast path added for the factor-update hot path is pinned
 against its loop-form reference: the batched ``boolean_matmul`` table
-gather vs the per-row loop, the fused ``xor_popcount`` kernels vs
-XOR-then-popcount, the packed column accessors vs per-row ``get_bit``/
+gather vs the per-row loop, the ``xor_popcount`` kernels vs
+``popcount`` of the XOR, the packed column accessors vs per-row ``get_bit``/
 ``set_bit``, and the vectorized integer-mask helpers vs their Python-loop
 definitions.
 """
@@ -51,9 +51,9 @@ class TestBatchedMatmul:
             left, right
         )
 
-    def test_dispatch_threshold(self):
-        # Public entry point agrees with both implementations on either
-        # side of the dispatch threshold.
+    def test_batch_row_threshold(self):
+        # Public entry point agrees with the row loop on either side of
+        # the batched-gather row threshold.
         for m in (_BATCH_MIN_ROWS - 1, _BATCH_MIN_ROWS, _BATCH_MIN_ROWS + 1):
             left = random_bitmatrix(m, 12, m)
             right = random_bitmatrix(12, 9, m + 1)

@@ -48,6 +48,12 @@ class TestPackUnpackRoundTrip:
         with pytest.raises(ValueError):
             packing.pack_bits(np.uint8(1))
 
+    def test_unpack_past_packed_width_rejected(self):
+        packed = packing.pack_bits(np.ones((1, 64), dtype=np.uint8))
+        assert packing.unpack_bits(packed, 64).shape == (1, 64)
+        with pytest.raises(ValueError):
+            packing.unpack_bits(packed, 65)
+
     def test_multidimensional_leading_axes(self):
         rng = np.random.default_rng(3)
         dense = (rng.random((2, 3, 90)) < 0.4).astype(np.uint8)
@@ -114,6 +120,14 @@ class TestSliceBits:
         packed = packing.pack_bits(np.ones((1, 10), dtype=np.uint8))
         with pytest.raises(ValueError):
             packing.slice_bits(packed, 5, 3)
+
+    def test_stop_past_packed_width_rejected(self):
+        packed = packing.pack_bits(np.ones((1, 64), dtype=np.uint8))
+        assert packing.slice_bits(packed, 0, 64).shape == (1, 1)
+        with pytest.raises(ValueError):
+            packing.slice_bits(packed, 0, 100)
+        with pytest.raises(ValueError):
+            packing.slice_bits(packed, 64, 65)
 
     @given(st.integers(1, 200), st.data())
     @settings(max_examples=50, deadline=None)

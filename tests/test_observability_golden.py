@@ -38,7 +38,6 @@ INVARIANT_COUNTERS = (
     "cache_entries_total",
     "cache_fetches_total",
     "bitmatrix_ops_total",
-    "kernel_dispatch_total",
 )
 
 
