@@ -96,6 +96,13 @@ class BitMatrix:
                 f"{self.n_rows}x{self.n_cols} matrix"
             )
 
+    def _check_column(self, col: int) -> None:
+        if not 0 <= col < self.n_cols:
+            raise IndexError(
+                f"column {col} out of bounds for "
+                f"{self.n_rows}x{self.n_cols} matrix"
+            )
+
     def row_mask(self, row: int) -> int:
         """The row as an integer bitmask (bit c set iff entry (row, c) is 1).
 
@@ -113,6 +120,7 @@ class BitMatrix:
 
     def column(self, col: int) -> np.ndarray:
         """One column as a dense 0/1 vector."""
+        self._check_column(col)
         word, offset = divmod(col, packing.WORD_BITS)
         return ((self.words[:, word] >> np.uint64(offset)) & np.uint64(1)).astype(np.uint8)
 
@@ -121,6 +129,7 @@ class BitMatrix:
         values = np.asarray(values)
         if values.shape != (self.n_rows,):
             raise ValueError(f"column values shape {values.shape} != ({self.n_rows},)")
+        self._check_column(col)
         word, offset = divmod(col, packing.WORD_BITS)
         bit = np.uint64(1 << offset)
         column_words = self.words[:, word]

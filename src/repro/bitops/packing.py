@@ -197,13 +197,21 @@ def bit_column(packed: np.ndarray, bit: int) -> np.ndarray:
 
 
 def set_bit_column(packed: np.ndarray, bit: int, values: np.ndarray) -> None:
-    """Write a 0/1 vector into bit ``bit`` of every packed row, in place."""
+    """Write a vector into bit ``bit`` of every packed row, in place.
+
+    ``values`` holds one entry per row; any nonzero entry sets the bit.
+    """
+    values = np.asarray(values)
+    if values.shape != (packed.shape[0],):
+        raise ValueError(
+            f"column values shape {values.shape} != ({packed.shape[0]},)"
+        )
     word, offset = divmod(bit, WORD_BITS)
     select = _WORD_DTYPE(1 << offset)
     column = packed[:, word]
     np.bitwise_and(column, ~select, out=column)
     np.bitwise_or(
         column,
-        values.astype(_WORD_DTYPE) << _WORD_DTYPE(offset),
+        (values != 0).astype(_WORD_DTYPE) << _WORD_DTYPE(offset),
         out=column,
     )

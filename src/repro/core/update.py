@@ -190,25 +190,59 @@ class _BuildCachedPartitionFromHandle:
         return CachedPartition(data, RowSummationCache(inner, self.group_size))
 
 
+#: Process-local, single-entry memo of the last rebuilt sweep masks:
+#: ``(key, masks)``, keyed by :class:`ColumnSweepTask` payload content.
+#: Modelled on the broadcast store (:mod:`repro.distengine.broadcast`): the
+#: key is pure payload content, so a hit returns exactly what the rebuild
+#: would, and every partition a worker runs in one column stage shares one
+#: rebuild.  One entry suffices because a worker runs one stage at a time.
+_MASK_MEMO: "tuple[tuple, np.ndarray] | None" = None
+
+
+def _rebuild_masks(
+    base: np.ndarray, deltas: tuple, column: int, n_rows: int
+) -> np.ndarray:
+    """Base words with every applied delta replayed and ``column`` cleared.
+
+    The result is read-only: it is shared by every partition that hits the
+    memo.
+    """
+    masks = base.copy()
+    for applied_column, delta in deltas:
+        chosen = np.unpackbits(delta.value, count=n_rows)
+        packing.set_bit_column(masks, applied_column, chosen)
+    cleared = _masks_with_bit_cleared(masks, column)
+    cleared.flags.writeable = False
+    return cleared
+
+
 class ColumnSweepTask:
     """Stage payload: one column's error evaluation, delta-only traffic.
 
     Ships a broadcast handle plus the packed ~n_rows/8-byte column updates
-    already chosen this sweep.  The worker reconstructs the current target
+    already chosen this sweep.  The worker derives the current target
     masks itself — base factor words from the handle, prior columns applied
-    from the deltas, this column cleared in place — so per-column payloads
-    are O(n_rows/8) instead of O(n_rows·words).  Rebuilding from the base
-    every column (rather than mutating worker-local state) keeps the
-    computation a pure function of the payload, which is what makes results
-    bit-identical across serial, thread, and process backends.
+    from the deltas, this column cleared — so per-column payloads are
+    O(n_rows/8) instead of O(n_rows·words).
+
+    The rebuild is memoized per worker process by payload content (the
+    content ids of the base and of every delta, plus the column indices),
+    so all partitions a worker runs in one column stage share a single
+    rebuild instead of paying O(R) each.  The memo only caches a pure
+    function of the payload, which is what keeps results bit-identical
+    across serial, thread, and process backends; the wire format is the
+    same as without it.
 
     The task is shared by every cached-partition type: the partition's
-    ``sweep_errors(masks, factors, column)`` turns the rebuilt masks into
-    its ``(error_if_zero, error_if_one)`` pair.  Slot ``0`` of the
-    broadcast factors must be the target's packed words.
+    ``sweep_errors(masks, factors, column)`` turns the masks into its
+    ``(error_if_zero, error_if_one)`` pair.  Slot ``0`` of the broadcast
+    factors must be the target's packed words.
     """
 
-    __slots__ = ("factors", "column", "deltas", "n_rows")
+    # ``_key`` (the memo key) is filled on the first ``masks()`` call,
+    # worker-side; it is unset when the driver meters and pickles the
+    # payload, so it never reaches the wire.
+    __slots__ = ("factors", "column", "deltas", "n_rows", "_key")
 
     def __init__(self, factors, column: int, deltas: tuple, n_rows: int):
         self.factors = factors
@@ -217,13 +251,25 @@ class ColumnSweepTask:
         self.n_rows = n_rows
 
     def masks(self) -> np.ndarray:
-        """The target's current row masks with this column cleared."""
-        masks = self.factors.value[0].copy()
-        for applied_column, delta in self.deltas:
-            chosen = np.unpackbits(delta.value, count=self.n_rows)
-            packing.set_bit_column(masks, applied_column, chosen)
-        word_index, offset = divmod(self.column, packing.WORD_BITS)
-        masks[:, word_index] &= ~np.uint64(1 << offset)
+        """The target's current row masks, this column cleared; read-only."""
+        global _MASK_MEMO
+        key = getattr(self, "_key", None)
+        if key is None:
+            key = self._key = (
+                self.factors.content_id,
+                self.column,
+                tuple(
+                    (applied_column, delta.content_id)
+                    for applied_column, delta in self.deltas
+                ),
+            )
+        memo = _MASK_MEMO
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        masks = _rebuild_masks(
+            self.factors.value[0], self.deltas, self.column, self.n_rows
+        )
+        _MASK_MEMO = (key, masks)
         return masks
 
     def __call__(self, cached):

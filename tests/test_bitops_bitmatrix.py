@@ -89,6 +89,28 @@ class TestElementAccess:
         with pytest.raises(ValueError):
             matrix.set_column(0, np.ones(5, dtype=np.uint8))
 
+    @pytest.mark.parametrize("col", [-1, 10, 15, 20, 64])
+    def test_set_column_out_of_range(self, col):
+        matrix = BitMatrix.zeros(6, 10)
+        with pytest.raises(IndexError):
+            matrix.set_column(col, np.ones(6, dtype=np.uint8))
+        # Nothing was written, padding bits included.
+        assert matrix == BitMatrix.zeros(6, 10)
+        assert not matrix.words.any()
+
+    @pytest.mark.parametrize("col", [-1, 10, 15, 64])
+    def test_column_out_of_range(self, col):
+        matrix = BitMatrix.from_dense(random_dense(6, 10, seed=4))
+        with pytest.raises(IndexError):
+            matrix.column(col)
+
+    def test_last_column_in_range(self):
+        dense = random_dense(6, 10, seed=5)
+        matrix = BitMatrix.from_dense(dense)
+        np.testing.assert_array_equal(matrix.column(9), dense[:, 9])
+        matrix.set_column(9, np.ones(6, dtype=np.uint8))
+        assert matrix.column(9).all()
+
     def test_row_mask(self):
         matrix = BitMatrix.from_dense(np.array([[1, 0, 1, 1]], dtype=np.uint8))
         assert matrix.row_mask(0) == 0b1101

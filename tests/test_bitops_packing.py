@@ -169,3 +169,35 @@ class TestSetGetBit:
         packing.set_bit(packed, 0, 10, 1)
         packing.set_bit(packed, 0, 10, 0)
         assert packing.get_bit(packed, 0, 10) == 0
+
+
+class TestSetBitColumn:
+    def test_writes_only_its_bit(self):
+        packed = packing.packed_zeros((4,), 70)
+        packing.set_bit_column(packed, 65, np.array([1, 0, 1, 1], np.uint8))
+        np.testing.assert_array_equal(
+            packing.bit_column(packed, 65), [1, 0, 1, 1]
+        )
+        assert packing.popcount(packed) == 3
+
+    def test_nonzero_values_set_one_bit(self):
+        packed = packing.packed_zeros((3,), 64)
+        packing.set_bit_column(packed, 5, np.array([2, 0, 255], np.uint8))
+        # Any nonzero is 1: bit 5 only, never the neighbouring bit 6.
+        np.testing.assert_array_equal(packing.bit_column(packed, 5), [1, 0, 1])
+        np.testing.assert_array_equal(packing.bit_column(packed, 6), [0, 0, 0])
+        packing.set_bit_column(packed, 5, np.array([0, 3, 0], np.int64))
+        np.testing.assert_array_equal(packing.bit_column(packed, 5), [0, 1, 0])
+        assert packing.popcount(packed) == 1
+
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_wrong_length_rejected(self, length):
+        packed = packing.packed_zeros((3,), 10)
+        with pytest.raises(ValueError):
+            packing.set_bit_column(packed, 2, np.ones(length, np.uint8))
+        assert not packed.any()
+
+    def test_two_dimensional_values_rejected(self):
+        packed = packing.packed_zeros((3,), 10)
+        with pytest.raises(ValueError):
+            packing.set_bit_column(packed, 2, np.ones((3, 1), np.uint8))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.bitops import BitMatrix
 from repro.core import DbtfConfig, RowSummationCache, dbtf
 from repro.core.partition import build_partition_data, make_partition_plans
+from repro.core import update
 from repro.core.update import (
     CachedPartition,
     ColumnSweepTask,
@@ -31,13 +32,19 @@ from repro.distengine import (
     SimulatedRuntime,
 )
 from repro.distengine.broadcast import _STORE, clear_store
-from repro.distengine.shuffle import HANDLE_WIRE_BYTES, TransferKind, estimate_bytes
+from repro.distengine.shuffle import (
+    HANDLE_WIRE_BYTES,
+    TransferKind,
+    estimate_bytes,
+    stable_hash,
+)
 from repro.tensor import (
     PackedUnfolding,
     SparseBoolTensor,
     planted_tensor,
     unfold,
 )
+from repro.tucker import BooleanTuckerConfig, dbtf_tucker
 from repro.tucker.distributed import TuckerCachedPartition
 
 
@@ -149,8 +156,12 @@ def _closure_task_bytes(n_rows, outer_rows, inner_rows, rank):
 
 
 def _handle(value):
-    """An in-memory handle, as the driver and thread workers resolve it."""
-    return BroadcastHandle(value, "ab" * 8, "factors", 0)
+    """An in-memory handle, as the driver and thread workers resolve it.
+
+    Content-addressed like ``runtime.broadcast``: equal values share an id
+    and different values do not, which the sweep-mask memo relies on.
+    """
+    return BroadcastHandle(value, f"{stable_hash(value):016x}", "factors", 0)
 
 
 def _partitions(tensor, n_partitions):
@@ -251,6 +262,124 @@ def test_sweep_task_rebuilds_cleared_masks(rank, n_rows, seed, data):
             got = task(cached)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.fixture
+def empty_mask_memo(monkeypatch):
+    monkeypatch.setattr(update, "_MASK_MEMO", None)
+
+
+@pytest.fixture
+def rebuild_calls(monkeypatch, empty_mask_memo):
+    """Spy on the sweep-mask rebuild; returns the list of swept columns."""
+    calls = []
+    rebuild = update._rebuild_masks
+
+    def spy(base, deltas, column, n_rows):
+        calls.append(column)
+        return rebuild(base, deltas, column, n_rows)
+
+    monkeypatch.setattr(update, "_rebuild_masks", spy)
+    return calls
+
+
+def _rebuild_every_call(task):
+    """``ColumnSweepTask.masks`` without the memo: the reference path."""
+    return update._rebuild_masks(
+        task.factors.value[0], task.deltas, task.column, task.n_rows
+    )
+
+
+class TestWorkerResidentMasks:
+    @pytest.fixture(scope="class")
+    def tensor(self):
+        return planted_tensor(
+            (40, 32, 24), rank=4, factor_density=0.4,
+            rng=np.random.default_rng(5), additive_noise=0.02,
+        )[0]
+
+    def test_rebuild_runs_once_per_column_stage(self, tensor, rebuild_calls):
+        rank = 6
+        config = DbtfConfig(rank=rank, max_iterations=1, seed=2,
+                            n_partitions=8)
+        with SimulatedRuntime(ClusterConfig()) as runtime:
+            result = dbtf(tensor, config=config, runtime=runtime)
+        n_column_stages = 3 * rank * len(result.errors_per_iteration)
+        # One rebuild per column stage, shared by all 8 partitions.
+        assert len(rebuild_calls) == n_column_stages
+        assert rebuild_calls == list(range(rank)) * (n_column_stages // rank)
+
+    def test_masks_are_read_only(self, empty_mask_memo):
+        base = BitMatrix.random(6, 5, 0.5, np.random.default_rng(0))
+        task = ColumnSweepTask(
+            _handle([base.words]), 2,
+            ((0, _handle(np.packbits(np.ones(6, dtype=np.uint8)))),), 6,
+        )
+        masks = task.masks()
+        assert not masks.flags.writeable
+        with pytest.raises(ValueError):
+            masks[0, 0] = 0
+        # A hit hands back the same read-only array.
+        assert task.masks() is masks
+
+    def test_same_delta_content_elsewhere_gives_other_masks(
+        self, empty_mask_memo
+    ):
+        """Payloads differing only in a column index must not share masks."""
+        base = BitMatrix.from_dense(np.array(
+            [[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]],
+            dtype=np.uint8,
+        ))
+        factors = _handle([base.words])
+        ones = _handle(np.packbits(np.ones(4, dtype=np.uint8)))
+        # Each case differs from the one before in one index only: the
+        # applied delta's column, then the swept column.
+        for applied_column, column in ((0, 3), (1, 3), (1, 2)):
+            task = ColumnSweepTask(factors, column, ((applied_column, ones),), 4)
+            expected = base.copy()
+            expected.set_column(applied_column, np.ones(4, dtype=np.uint8))
+            np.testing.assert_array_equal(
+                task.masks(), _masks_with_bit_cleared(expected.words, column)
+            )
+
+    @pytest.mark.parametrize("rank", [40, 70])
+    def test_cp_bit_identical_to_unmemoized(self, tensor, rank, monkeypatch):
+        def run(backend):
+            config = DbtfConfig(rank=rank, max_iterations=1, seed=4,
+                                n_partitions=6)
+            cluster = ClusterConfig(backend=backend, n_workers=2)
+            with SimulatedRuntime(cluster) as runtime:
+                result = dbtf(tensor, config=config, runtime=runtime)
+                by_stage = dict(runtime.ledger.by_stage)
+            return (
+                tuple(f.words.tobytes() for f in result.factors),
+                result.errors_per_iteration,
+                by_stage,
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ColumnSweepTask, "masks", _rebuild_every_call)
+            reference = run("serial")
+        for backend in ("serial", "thread", "process"):
+            assert run(backend) == reference
+
+    def test_tucker_bit_identical_to_unmemoized(self, tensor, monkeypatch):
+        config = BooleanTuckerConfig(core_shape=(3, 3, 3), max_iterations=2)
+
+        def run(backend):
+            result = dbtf_tucker(tensor, config=config, n_partitions=5,
+                                 backend=backend, n_workers=2)
+            return (
+                tuple(f.words.tobytes() for f in result.factors),
+                result.core.coords.tobytes(),
+                result.errors_per_iteration,
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ColumnSweepTask, "masks", _rebuild_every_call)
+            reference = run("serial")
+        for backend in ("serial", "thread", "process"):
+            assert run(backend) == reference
 
 
 class TestPerColumnByteDrop:
