@@ -106,24 +106,29 @@ def _evolve(tensor, factors, n_epochs, n_holes, rng):
     return deltas, tensors, optima
 
 
-def _config(args, backend):
+def _config(args):
     return DbtfConfig(
         rank=args.rank,
         seed=0,
         max_iterations=args.iterations,
         n_partitions=args.partitions,
-        cluster=ClusterConfig(
-            n_machines=2, cores_per_machine=2, backend=backend
-        ),
+    )
+
+
+def _runtime(backend):
+    return SimulatedRuntime(
+        ClusterConfig(n_machines=2, cores_per_machine=2, backend=backend)
     )
 
 
 def _incremental(tensor, deltas, args, backend):
     """One session advanced through every delta; per-epoch stats."""
-    config = _config(args, backend)
+    config = _config(args)
     epochs = []
     started = time.perf_counter()
-    with FactorizationSession(tensor, config) as session:
+    with _runtime(backend) as runtime, FactorizationSession(
+        tensor, config, runtime=runtime
+    ) as session:
         epochs.append(session.factorize())
         for delta in deltas:
             epochs.append(session.advance(delta))
@@ -134,15 +139,12 @@ def _incremental(tensor, deltas, args, backend):
 
 def _scratch(tensors, args, backend):
     """Independent full factorization of each epoch's tensor."""
-    config = _config(args, backend)
+    config = _config(args)
     results = []
     started = time.perf_counter()
     for tensor in tensors:
-        runtime = SimulatedRuntime(config.resolved_cluster())
-        try:
+        with _runtime(backend) as runtime:
             results.append(dbtf(tensor, config=config, runtime=runtime))
-        finally:
-            runtime.close()
     wall_s = time.perf_counter() - started
     return results, wall_s
 

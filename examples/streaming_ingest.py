@@ -63,8 +63,7 @@ def main() -> None:
         )
         try:
             config = DbtfConfig(rank=2, seed=0, max_iterations=5,
-                                n_partitions=2,
-                                cluster=runtime.config)
+                                n_partitions=2)
             budgeted = dbtf(tensor, config=config, runtime=runtime)
             budget = runtime.storage.budget
             print(f"\nunbudgeted : relative error "

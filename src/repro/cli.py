@@ -294,23 +294,18 @@ def _command_factorize(args: argparse.Namespace) -> int:
             resume=args.resume,
         )
 
-    memory_budget = None
-    if args.memory_budget is not None:
-        if args.method != "dbtf":
-            print(
-                f"--memory-budget is only supported for dbtf, "
-                f"not {args.method}",
-                file=sys.stderr,
-            )
-            return 2
-        from .storage import parse_memory_size
-
-        try:
-            memory_budget = parse_memory_size(args.memory_budget)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if args.spill_dir is not None and memory_budget is None:
+    if args.memory_budget is not None and args.method != "dbtf":
+        print(
+            f"--memory-budget is only supported for dbtf, not {args.method}",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        cluster = _cluster_from_args(args, tracing=observing)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if args.spill_dir is not None and cluster.memory_budget is None:
         print("--spill-dir requires --memory-budget", file=sys.stderr)
         return 2
 
@@ -321,144 +316,21 @@ def _command_factorize(args: argparse.Namespace) -> int:
         )
         return 2
 
+    from contextlib import nullcontext
+
+    from .distengine import SimulatedRuntime
+
     tensor = load_tensor(args.tensor)
+    engine = (
+        SimulatedRuntime(cluster)
+        if args.method in ("dbtf", "nway-cp")
+        else nullcontext()
+    )
+    with engine as runtime:
+        result = _run_method(args, tensor, checkpoint, runtime)
     tracer = metrics = None
-    if args.method == "dbtf" and args.delta:
-        from .core import DbtfConfig
-        from .incremental import FactorizationSession
-        from .tensor import load_delta
-
-        deltas = [load_delta(path) for path in args.delta]
-        config = DbtfConfig(
-            rank=args.rank,
-            seed=args.seed,
-            max_iterations=args.max_iterations,
-            n_initial_sets=args.initial_sets,
-            n_partitions=args.partitions,
-            backend=args.backend,
-            n_workers=args.workers,
-            tracing=observing,
-            memory_budget=memory_budget,
-            spill_dir=args.spill_dir,
-        )
-        with FactorizationSession(
-            tensor,
-            config,
-            checkpoint_root=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            keep_last=args.checkpoint_keep_last,
-        ) as session:
-            epochs = [session.factorize()]
-            epochs.extend(session.advance(delta) for delta in deltas)
-            if observing:
-                tracer = session.runtime.tracer
-                metrics = session.runtime.metrics
-            result = epochs[-1].result
-        print(f"method         : DBTF incremental ({len(epochs)} epochs, "
-              f"{args.backend} backend)")
-        print(f"{'epoch':>5} {'changes':>8} {'dirty':>6} {'swept':>6} "
-              f"{'skipped':>8}  error")
-        for epoch in epochs:
-            print(f"{epoch.epoch:>5} {epoch.n_changes:>8} "
-                  f"{sum(epoch.dirty_columns):>6} {epoch.columns_swept:>6} "
-                  f"{epoch.columns_skipped:>8}  {epoch.error}")
-    elif args.method == "dbtf":
-        from contextlib import nullcontext
-
-        from .core import dbtf
-        from .distengine import SimulatedRuntime
-
-        context = nullcontext()
-        if observing:
-            from .core import DbtfConfig
-
-            probe = DbtfConfig(
-                rank=args.rank,
-                backend=args.backend,
-                n_workers=args.workers,
-                tracing=True,
-                memory_budget=memory_budget,
-                spill_dir=args.spill_dir,
-            )
-            context = SimulatedRuntime(probe.resolved_cluster())
-        with context as runtime:
-            result = dbtf(
-                tensor,
-                rank=args.rank,
-                seed=args.seed,
-                max_iterations=args.max_iterations,
-                n_initial_sets=args.initial_sets,
-                n_partitions=args.partitions,
-                backend=args.backend,
-                n_workers=args.workers,
-                checkpoint=checkpoint,
-                memory_budget=memory_budget,
-                spill_dir=args.spill_dir,
-                runtime=runtime,
-            )
-            if runtime is not None:
-                tracer, metrics = runtime.tracer, runtime.metrics
-        print(f"method         : DBTF (simulated {result.report.n_machines} machines, "
-              f"{args.backend} backend)")
-        print(f"simulated time : {result.report.simulated_time:.2f} s")
-        if memory_budget is not None:
-            print(f"spill I/O      : {result.report.spill_bytes} bytes "
-                  f"(budget {memory_budget} bytes)")
-    elif args.method == "bcp-als":
-        from .baselines import bcp_als
-
-        result = bcp_als(tensor, rank=args.rank, max_iterations=args.max_iterations)
-        print("method         : BCP_ALS")
-    elif args.method == "walk-n-merge":
-        from .baselines import WalkNMergeConfig, walk_n_merge
-
-        result = walk_n_merge(
-            tensor,
-            rank=args.rank,
-            config=WalkNMergeConfig(
-                density_threshold=args.density_threshold, seed=args.seed
-            ),
-        )
-        print(f"method         : Walk'n'Merge ({result.details['n_blocks']} blocks)")
-    elif args.method == "nway-cp":
-        from .nway import NwayCpConfig, cp_nway
-
-        if observing:
-            from .observability import MetricsRegistry, Tracer
-
-            tracer = Tracer() if args.trace is not None else None
-            metrics = MetricsRegistry()
-        result = cp_nway(
-            tensor,
-            config=NwayCpConfig(
-                rank=args.rank,
-                max_iterations=args.max_iterations,
-                n_initial_sets=args.initial_sets,
-                seed=args.seed,
-                backend=args.backend,
-                n_workers=args.workers,
-                checkpoint=checkpoint,
-            ),
-            tracer=tracer,
-            metrics=metrics,
-        )
-        print(f"method         : N-way Boolean CP ({tensor.ndim} modes)")
-    else:
-        from .tucker import BooleanTuckerConfig, boolean_tucker
-
-        core_shape = tuple(args.core_shape) if args.core_shape else (args.rank,) * 3
-        result = boolean_tucker(
-            tensor,
-            config=BooleanTuckerConfig(
-                core_shape=core_shape,
-                max_iterations=args.max_iterations,
-                n_initial_sets=args.initial_sets,
-                seed=args.seed,
-                checkpoint=checkpoint,
-            ),
-        )
-        print(f"method         : Boolean Tucker (core {core_shape}, "
-              f"{result.core.nnz} core nonzeros)")
+    if observing:
+        tracer, metrics = runtime.tracer, runtime.metrics
 
     print(f"error          : {result.error}")
     print(f"relative error : {result.relative_error:.4f}")
@@ -493,6 +365,140 @@ def _command_factorize(args: argparse.Namespace) -> int:
                 )
         print(f"factors written to {args.factors_out}/")
     return 0
+
+
+def _cluster_from_args(args: argparse.Namespace, tracing: bool = False):
+    """The :class:`~repro.distengine.ClusterConfig` the cluster flags name.
+
+    Reads ``--backend``/``--workers``/``--memory-budget`` and, where the
+    command has it, ``--spill-dir``; raises ``ValueError`` for a value
+    that does not parse or that ``ClusterConfig`` refuses.
+    """
+    from .distengine import ClusterConfig
+
+    memory_budget = None
+    if args.memory_budget is not None:
+        from .storage import parse_memory_size
+
+        memory_budget = parse_memory_size(args.memory_budget)
+    return ClusterConfig(
+        backend=args.backend,
+        n_workers=args.workers,
+        tracing=tracing,
+        memory_budget=memory_budget,
+        spill_dir=getattr(args, "spill_dir", None),
+    )
+
+
+def _run_method(args: argparse.Namespace, tensor, checkpoint, runtime):
+    """Factorize ``tensor`` with ``--method``, printing its header lines.
+
+    ``runtime`` carries the cluster settings for dbtf and nway-cp and is
+    ``None`` for the single-machine methods.
+    """
+    if args.method == "dbtf" and args.delta:
+        from .core import DbtfConfig
+        from .incremental import FactorizationSession
+        from .tensor import load_delta
+
+        deltas = [load_delta(path) for path in args.delta]
+        config = DbtfConfig(
+            rank=args.rank,
+            seed=args.seed,
+            max_iterations=args.max_iterations,
+            n_initial_sets=args.initial_sets,
+            n_partitions=args.partitions,
+        )
+        with FactorizationSession(
+            tensor,
+            config,
+            runtime=runtime,
+            checkpoint_root=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            keep_last=args.checkpoint_keep_last,
+        ) as session:
+            epochs = [session.factorize()]
+            epochs.extend(session.advance(delta) for delta in deltas)
+        print(f"method         : DBTF incremental ({len(epochs)} epochs, "
+              f"{args.backend} backend)")
+        print(f"{'epoch':>5} {'changes':>8} {'dirty':>6} {'swept':>6} "
+              f"{'skipped':>8}  error")
+        for epoch in epochs:
+            print(f"{epoch.epoch:>5} {epoch.n_changes:>8} "
+                  f"{sum(epoch.dirty_columns):>6} {epoch.columns_swept:>6} "
+                  f"{epoch.columns_skipped:>8}  {epoch.error}")
+        return epochs[-1].result
+    if args.method == "dbtf":
+        from .core import dbtf
+
+        result = dbtf(
+            tensor,
+            rank=args.rank,
+            seed=args.seed,
+            max_iterations=args.max_iterations,
+            n_initial_sets=args.initial_sets,
+            n_partitions=args.partitions,
+            checkpoint=checkpoint,
+            runtime=runtime,
+        )
+        print(f"method         : DBTF (simulated {result.report.n_machines} machines, "
+              f"{args.backend} backend)")
+        print(f"simulated time : {result.report.simulated_time:.2f} s")
+        memory_budget = runtime.config.memory_budget
+        if memory_budget is not None:
+            print(f"spill I/O      : {result.report.spill_bytes} bytes "
+                  f"(budget {memory_budget} bytes)")
+        return result
+    if args.method == "bcp-als":
+        from .baselines import bcp_als
+
+        result = bcp_als(tensor, rank=args.rank, max_iterations=args.max_iterations)
+        print("method         : BCP_ALS")
+        return result
+    if args.method == "walk-n-merge":
+        from .baselines import WalkNMergeConfig, walk_n_merge
+
+        result = walk_n_merge(
+            tensor,
+            rank=args.rank,
+            config=WalkNMergeConfig(
+                density_threshold=args.density_threshold, seed=args.seed
+            ),
+        )
+        print(f"method         : Walk'n'Merge ({result.details['n_blocks']} blocks)")
+        return result
+    if args.method == "nway-cp":
+        from .nway import NwayCpConfig, cp_nway
+
+        result = cp_nway(
+            tensor,
+            config=NwayCpConfig(
+                rank=args.rank,
+                max_iterations=args.max_iterations,
+                n_initial_sets=args.initial_sets,
+                seed=args.seed,
+                checkpoint=checkpoint,
+            ),
+            runtime=runtime,
+        )
+        print(f"method         : N-way Boolean CP ({tensor.ndim} modes)")
+        return result
+    from .tucker import BooleanTuckerConfig, boolean_tucker
+
+    core_shape = tuple(args.core_shape) if args.core_shape else (args.rank,) * 3
+    result = boolean_tucker(
+        tensor,
+        config=BooleanTuckerConfig(
+            core_shape=core_shape,
+            max_iterations=args.max_iterations,
+            n_initial_sets=args.initial_sets,
+            seed=args.seed,
+            checkpoint=checkpoint,
+        ),
+    )
+    print(f"method         : Boolean Tucker (core {core_shape}, "
+          f"{result.core.nnz} core nonzeros)")
+    return result
 
 
 def _command_jobs(args: argparse.Namespace) -> int:
@@ -573,7 +579,6 @@ def _jobs_result(store, args: argparse.Namespace) -> int:
 
 
 def _jobs_serve(store, args: argparse.Namespace) -> int:
-    from .distengine import DEFAULT_CLUSTER
     from .service import FactorizationService, JobState, ServiceConfig, TenantQuota
 
     quotas = {}
@@ -584,17 +589,11 @@ def _jobs_serve(store, args: argparse.Namespace) -> int:
             return 2
         quotas[tenant] = TenantQuota(weight=float(weight))
 
-    cluster = DEFAULT_CLUSTER.with_backend(args.backend, args.workers)
-    if args.memory_budget is not None:
-        from .storage import parse_memory_size
-
-        try:
-            cluster = cluster.with_memory_budget(
-                parse_memory_size(args.memory_budget)
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+    try:
+        cluster = _cluster_from_args(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
     pending = store.pending_ids()
     if not pending:

@@ -196,7 +196,9 @@ def _update_all_factors_scoped(
     return (current[0], current[1], current[2]), error
 
 
-def _dbtf_fingerprint(tensor: SparseBoolTensor, config: DbtfConfig) -> str:
+def _dbtf_fingerprint(
+    tensor: SparseBoolTensor, config: DbtfConfig, n_partitions: int
+) -> str:
     """Fingerprint of everything that shapes the dbtf iteration trajectory.
 
     Stopping criteria (``max_iterations``, ``tolerance``) are deliberately
@@ -212,7 +214,7 @@ def _dbtf_fingerprint(tensor: SparseBoolTensor, config: DbtfConfig) -> str:
             "initialization": config.initialization,
             "init_density": config.init_density,
             "n_initial_sets": config.n_initial_sets,
-            "n_partitions": config.resolved_partitions(),
+            "n_partitions": n_partitions,
             "cache_group_size": config.cache_group_size,
             "shape": list(tensor.shape),
             "nnz": tensor.nnz,
@@ -255,10 +257,11 @@ def dbtf(
     config:
         Full configuration; built from ``rank`` and ``overrides`` if absent.
     runtime:
-        Simulated cluster runtime to meter against; a fresh one is created
-        (and attached to the result's report) if not provided.  A supplied
-        runtime must agree with every cluster override the config sets
-        explicitly (:meth:`DbtfConfig.check_runtime`), else ``ValueError``.
+        Simulated cluster runtime to run and meter on; its
+        :class:`~repro.distengine.ClusterConfig` holds every cluster
+        setting (backend, workers, tracing, memory budget).  A fresh
+        ``SimulatedRuntime()`` on ``DEFAULT_CLUSTER`` is created, and
+        closed afterwards, if not provided.
     overrides:
         Extra :class:`DbtfConfig` fields, e.g. ``max_iterations=5, seed=3``.
 
@@ -275,9 +278,7 @@ def dbtf(
         raise ValueError("pass either config or overrides, not both")
     owns_runtime = runtime is None
     if runtime is None:
-        runtime = SimulatedRuntime(config.resolved_cluster())
-    else:
-        config.check_runtime(runtime)
+        runtime = SimulatedRuntime()
     try:
         return drive(dbtf_steps(tensor, config, runtime))
     finally:
@@ -336,11 +337,12 @@ def dbtf_steps(
     """
     if tensor.ndim != 3:
         raise ValueError(f"DBTF factorizes three-way tensors, got {tensor.ndim}-way")
+    n_partitions = config.resolved_partitions(runtime)
     manager = None
     if config.checkpoint is not None:
         manager = CheckpointManager(
             config.checkpoint,
-            _dbtf_fingerprint(tensor, config),
+            _dbtf_fingerprint(tensor, config, n_partitions),
             metrics=runtime.metrics,
             tracer=runtime.tracer,
         )
@@ -358,9 +360,7 @@ def dbtf_steps(
         mode_rdds = (
             list(shared_unfoldings)
             if shared_unfoldings is not None
-            else prepare_partitioned_unfoldings(
-                tensor, config.resolved_partitions(), runtime
-            )
+            else prepare_partitioned_unfoldings(tensor, n_partitions, runtime)
         )
 
         resumed = None

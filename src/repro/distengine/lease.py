@@ -29,7 +29,7 @@ from .runtime import SimulatedRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..observability import MetricsRegistry, Tracer
-    from ..resilience import RetryPolicy, SpeculationConfig
+    from ..resilience import RetryPolicy
     from .backends import Backend
     from .faults import FaultInjector
 
@@ -91,7 +91,6 @@ class RuntimeFactory:
         tracer: "Tracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
         retry_policy: "RetryPolicy | None" = None,
-        speculation: "SpeculationConfig | None" = None,
     ) -> RuntimeLease:
         """A fresh isolated runtime executing through the shared pool.
 
@@ -116,7 +115,6 @@ class RuntimeFactory:
             tracer=tracer,
             metrics=metrics,
             retry_policy=retry_policy,
-            speculation=speculation,
             owns_backend=False,
         )
         lease = RuntimeLease(self, runtime)

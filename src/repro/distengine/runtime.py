@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..observability import MetricsRegistry, SpanKind, Tracer
-from ..resilience import RetryPolicy, SpeculationConfig, plan_speculation
+from ..resilience import RetryPolicy, plan_speculation
 from ..storage import MemoryBudget, PartitionSpillStore
 from .backends import Backend, make_backend
 from .broadcast import Broadcast
@@ -118,7 +118,6 @@ class SimulatedRuntime:
         tracer: "Tracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
         retry_policy: "RetryPolicy | None" = None,
-        speculation: "SpeculationConfig | None" = None,
         owns_backend: bool = True,
     ):
         self.config = config
@@ -126,10 +125,6 @@ class SimulatedRuntime:
         self.stages: list[StageReport] = []
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy
-        # An explicit speculation config overrides the cluster config's.
-        self.speculation = (
-            speculation if speculation is not None else config.speculation
-        )
         #: ``(stage, partition)`` pairs whose fault count tripped the retry
         #: policy's ``blacklist_after`` threshold (observational, modelling
         #: Spark's executor blacklisting).
@@ -472,14 +467,14 @@ class SimulatedRuntime:
                         "partitions_blacklisted_total", stage=stage_name
                     ).inc()
         plan = None
-        if self.speculation is not None and failures:
+        if self.config.speculation is not None and failures:
             # The plan is a pure function of deterministic inputs (fault
             # counts, seeded backoff waits) plus measured durations; counts
             # and events are recorded here, the makespan effect is replayed
             # from the StageReport in ``simulated_time``.
             plan = plan_speculation(
                 stage.durations, stage.retry_waits, stage.failure_counts,
-                self.speculation,
+                self.config.speculation,
             )
             if plan.speculated:
                 registry.counter(
@@ -701,12 +696,12 @@ class SimulatedRuntime:
         capped at their modelled duplicate's finish time.
         """
         if not stage.retry_waits or not any(stage.retry_waits):
-            if self.speculation is None or not any(stage.failure_counts):
+            if self.config.speculation is None or not any(stage.failure_counts):
                 return stage.durations
-        if self.speculation is not None:
+        if self.config.speculation is not None:
             plan = plan_speculation(
                 stage.durations, stage.retry_waits, stage.failure_counts,
-                self.speculation,
+                self.config.speculation,
             )
             return plan.effective_durations
         waits = stage.retry_waits or (0.0,) * stage.n_tasks

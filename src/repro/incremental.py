@@ -145,10 +145,10 @@ class FactorizationSession:
         ``checkpoint_root`` instead (every epoch factorizes a different
         tensor, hence a different checkpoint fingerprint).
     runtime:
-        Optional caller-owned runtime (e.g. a service lease); one is built
-        from the config and closed with the session otherwise.  A supplied
-        runtime must agree with every cluster override the config sets
-        explicitly (:meth:`DbtfConfig.check_runtime`), else ``ValueError``.
+        Optional caller-owned runtime (e.g. a service lease) carrying every
+        cluster setting; a ``SimulatedRuntime()`` on ``DEFAULT_CLUSTER`` is
+        built and closed with the session otherwise.  ``n_partitions=None``
+        resolves to this runtime's total slot count.
     checkpoint_root:
         Directory under which epoch ``e`` snapshots into ``epoch-%04d``.
         ``None`` disables checkpointing.
@@ -184,16 +184,10 @@ class FactorizationSession:
             )
         if keep_last < 1:
             raise ValueError(f"keep_last must be >= 1, got {keep_last}")
-        if runtime is not None:
-            config.check_runtime(runtime)
         self.tensor = tensor
         self.config = config
         self._owns_runtime = runtime is None
-        self.runtime = (
-            runtime
-            if runtime is not None
-            else SimulatedRuntime(config.resolved_cluster())
-        )
+        self.runtime = runtime if runtime is not None else SimulatedRuntime()
         self.checkpoint_root = (
             Path(checkpoint_root) if checkpoint_root is not None else None
         )
@@ -289,7 +283,9 @@ class FactorizationSession:
     ) -> Generator[StepEvent, None, EpochResult]:
         if self._unfoldings is None:
             self._unfoldings = PartitionedUnfoldings.prepare(
-                self.tensor, self.config.resolved_partitions(), self.runtime
+                self.tensor,
+                self.config.resolved_partitions(self.runtime),
+                self.runtime,
             )
         config = self._epoch_config(epoch)
         swept_before, skipped_before = self._sweep_counters()

@@ -22,13 +22,11 @@ import numpy as np
 
 from ..bitops import BitMatrix, packing
 from ..core.steps import StepEvent, drive
-from ..distengine import DEFAULT_CLUSTER, SimulatedRuntime
-from ..distengine.backends import BACKEND_NAMES
 from ..resilience import CheckpointConfig, CheckpointManager, config_fingerprint
 from ..tensor import SparseBoolTensor
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..observability import MetricsRegistry, Tracer
+    from ..distengine import SimulatedRuntime
 
 __all__ = [
     "NwayCpConfig",
@@ -43,9 +41,10 @@ __all__ = [
 class NwayCpConfig:
     """Hyper-parameters of the N-way Boolean CP solver.
 
-    ``backend``/``n_workers`` parallelize the independent restarts
-    (``n_initial_sets``) across the stage-executor seam; the selected best
-    result is identical under every backend.
+    The independent restarts (``n_initial_sets``) run as one stage on the
+    runtime passed to :func:`cp_nway`, whose
+    :class:`~repro.distengine.ClusterConfig` picks the backend; the
+    selected best result is identical under every backend.
 
     ``checkpoint`` snapshots at *restart* granularity: every completed
     restart's candidate is persisted, so a killed multi-restart sweep
@@ -60,8 +59,6 @@ class NwayCpConfig:
     tolerance: float = 0.0
     n_initial_sets: int = 1
     seed: int = 0
-    backend: str = "serial"
-    n_workers: int | None = None
     checkpoint: CheckpointConfig | None = None
 
     def __post_init__(self) -> None:
@@ -77,12 +74,6 @@ class NwayCpConfig:
             raise ValueError(
                 f"n_initial_sets must be positive, got {self.n_initial_sets}"
             )
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, got {self.backend!r}"
-            )
-        if self.n_workers is not None and self.n_workers <= 0:
-            raise ValueError(f"n_workers must be positive, got {self.n_workers}")
 
 
 @dataclass(frozen=True)
@@ -227,8 +218,7 @@ def cp_nway(
     tensor: SparseBoolTensor,
     rank: int | None = None,
     config: NwayCpConfig | None = None,
-    tracer: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
+    runtime: "SimulatedRuntime | None" = None,
 ) -> NwayCpResult:
     """Boolean CP decomposition of an N-way binary tensor (N >= 2).
 
@@ -240,14 +230,11 @@ def cp_nway(
         Number of components (ignored when ``config`` is given).
     config:
         Full configuration.
-    tracer:
-        Optional :class:`~repro.observability.Tracer`; when given, the
-        restart stage runs through the stage-executor seam with per-task
-        span collection, exactly like the distributed engine's stages.
-    metrics:
-        Optional :class:`~repro.observability.MetricsRegistry` the restart
-        stage reports ``stages_total``/``tasks_total`` and worker-side
-        metric increments into.
+    runtime:
+        Optional :class:`~repro.distengine.SimulatedRuntime`; when given,
+        the restarts run as one ``cpNway.restarts`` stage on it (its
+        backend, metrics and tracer), and it is left open for the caller.
+        Without one the restarts run inline, one after another.
     """
     if tensor.ndim < 2:
         raise ValueError(f"cp_nway needs at least 2 modes, got {tensor.ndim}")
@@ -257,12 +244,9 @@ def cp_nway(
         config = NwayCpConfig(rank=rank)
 
     if config.checkpoint is not None:
-        return drive(
-            cp_nway_steps(tensor, config, tracer=tracer, metrics=metrics)
-        )
+        return drive(cp_nway_steps(tensor, config, runtime))
     candidates = _solve_restarts(
-        tensor, _packed_unfoldings(tensor), config, tracer=tracer,
-        metrics=metrics,
+        tensor, _packed_unfoldings(tensor), config, runtime
     )
     best: NwayCpResult | None = None
     for candidate in candidates:
@@ -285,8 +269,7 @@ def _packed_unfoldings(tensor: SparseBoolTensor) -> list[np.ndarray]:
 def cp_nway_steps(
     tensor: SparseBoolTensor,
     config: NwayCpConfig,
-    tracer: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
+    runtime: "SimulatedRuntime | None" = None,
 ) -> "Generator[StepEvent, None, NwayCpResult]":
     """Cooperatively-stepped N-way CP: one restart per ``next()``.
 
@@ -297,7 +280,9 @@ def cp_nway_steps(
     each restart with the best error so far.  Draining the generator
     matches :func:`cp_nway` with a checkpoint config bit-for-bit; each
     restart still derives its generator from ``seed + restart``, so the
-    candidate set is identical to the parallel fan-out too.
+    candidate set is identical to the parallel fan-out too.  A given
+    ``runtime`` only lends its metrics and tracer to the checkpoint
+    manager.
     """
     if tensor.ndim < 2:
         raise ValueError(f"cp_nway needs at least 2 modes, got {tensor.ndim}")
@@ -307,8 +292,8 @@ def cp_nway_steps(
         manager = CheckpointManager(
             config.checkpoint,
             _nway_fingerprint(tensor, config),
-            metrics=metrics,
-            tracer=tracer,
+            metrics=runtime.metrics if runtime is not None else None,
+            tracer=runtime.tracer if runtime is not None else None,
         )
     candidates: list[NwayCpResult] = []
     start = 0
@@ -375,42 +360,33 @@ def _solve_restarts(
     tensor: SparseBoolTensor,
     unfoldings: list[np.ndarray],
     config: NwayCpConfig,
-    tracer: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
+    runtime: "SimulatedRuntime | None" = None,
 ) -> list["NwayCpResult"]:
     """All initial-set candidates, in restart order.
 
-    With a parallel backend and more than one restart, the independent
-    solves run concurrently (one task per restart) through the same
-    stage-executor seam the distributed engine uses.  With a tracer or a
-    metrics registry attached, the stage always goes through the backend so
-    the observability payloads are collected regardless of backend choice.
+    Without a runtime the restarts are solved inline.  With one, the
+    independent solves run as one task per restart through the same
+    stage-executor seam the distributed engine uses, so the runtime's
+    backend, counters and spans cover them.
     """
     restarts = list(range(config.n_initial_sets))
-    observing = tracer is not None or metrics is not None
-    if not observing and (config.backend == "serial" or config.n_initial_sets == 1):
+    if runtime is None:
         return [
             _solve_once(
                 tensor, unfoldings, config, np.random.default_rng(config.seed + r)
             )
             for r in restarts
         ]
-    # Route the restart fan-out through the distributed engine's lazy API:
-    # one partition per restart, one ``cpNway.restarts`` stage at the glom
-    # barrier.  The runtime handles what the manual backend call used to —
-    # stage/task counters, worker metric-delta merging, and span grafting —
-    # on the caller's registries.
-    cluster = DEFAULT_CLUSTER.with_backend(config.backend, config.n_workers)
-    with SimulatedRuntime(cluster, tracer=tracer, metrics=metrics) as runtime:
-        problem = runtime.broadcast(
-            (tensor, unfoldings), name="cpNway.broadcast"
-        )
-        task = _RestartTaskFromHandle(problem, config)
-        partitions = (
-            runtime.from_partitions([[r] for r in restarts], name="cpNway")
-            .map_partitions_with_index(task, name="cpNway.restarts")
-            .glom()
-        )
+    # One partition per restart, one ``cpNway.restarts`` stage at the glom
+    # barrier; the runtime handles stage/task counters, worker metric-delta
+    # merging, and span grafting.
+    problem = runtime.broadcast((tensor, unfoldings), name="cpNway.broadcast")
+    task = _RestartTaskFromHandle(problem, config)
+    partitions = (
+        runtime.from_partitions([[r] for r in restarts], name="cpNway")
+        .map_partitions_with_index(task, name="cpNway.restarts")
+        .glom()
+    )
     return [candidate for partition in partitions for candidate in partition]
 
 

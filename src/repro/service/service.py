@@ -391,7 +391,6 @@ class FactorizationService:
                         max_iterations=spec.max_iterations,
                         n_initial_sets=spec.n_initial_sets,
                         seed=spec.seed,
-                        cluster=cluster,
                     )
                     session = FactorizationSession(
                         spec.tensor,
@@ -408,7 +407,6 @@ class FactorizationService:
                         max_iterations=spec.max_iterations,
                         n_initial_sets=spec.n_initial_sets,
                         seed=spec.seed,
-                        cluster=cluster,
                         checkpoint=checkpoint,
                     )
                     job.generator = dbtf_steps(

@@ -35,7 +35,7 @@ from ..observability.trace import kernel_span
 from ..core.decompose import prepare_partitioned_unfoldings
 from ..core.partition import PartitionData
 from ..core.update import SweepStages, sweep_columns
-from ..distengine import DEFAULT_CLUSTER, Distributed, SimulatedRuntime
+from ..distengine import Distributed, SimulatedRuntime
 from ..tensor import SparseBoolTensor
 from .decompose import (
     BooleanTuckerConfig,
@@ -221,17 +221,17 @@ def dbtf_tucker(
     n_partitions: int = 16,
     cache_group_size: int = 15,
     runtime: SimulatedRuntime | None = None,
-    backend: str = "serial",
-    n_workers: int | None = None,
 ) -> BooleanTuckerResult:
     """Distributed Boolean Tucker decomposition (journal-style DBTF).
 
     Factor updates run through the simulated engine with per-pattern
     effective-basis caches; core updates run on the driver.  Results match
     :func:`repro.tucker.boolean_tucker` for the same initialization because
-    both implement the same greedy updates.  ``backend``/``n_workers``
-    select the host-side stage executor when no ``runtime`` is supplied;
-    results and metered costs are backend-invariant.
+    both implement the same greedy updates.  Cluster settings come from
+    ``runtime`` (a ``SimulatedRuntime()`` on ``DEFAULT_CLUSTER``, closed
+    afterwards, when none is supplied); results and metered costs are
+    backend-invariant.  ``config.checkpoint`` is refused: checkpointed
+    Tucker runs go through :func:`repro.tucker.boolean_tucker`.
     """
     if tensor.ndim != 3:
         raise ValueError(
@@ -241,13 +241,16 @@ def dbtf_tucker(
         if core_shape is None:
             raise ValueError("either core_shape or config must be provided")
         config = BooleanTuckerConfig(core_shape=core_shape)
+    if config.checkpoint is not None:
+        raise ValueError(
+            "dbtf_tucker does not checkpoint; use boolean_tucker for "
+            "checkpointed Tucker runs"
+        )
     if n_partitions <= 0:
         raise ValueError(f"n_partitions must be positive, got {n_partitions}")
     owns_runtime = runtime is None
     if runtime is None:
-        runtime = SimulatedRuntime(
-            DEFAULT_CLUSTER.with_backend(backend, n_workers)
-        )
+        runtime = SimulatedRuntime()
 
     mode_rdds: list[Distributed] = []
     try:

@@ -190,15 +190,18 @@ class TestConfigValidation:
             DbtfConfig(**kwargs)
 
     def test_resolved_partitions_default(self):
-        config = DbtfConfig(rank=2)
-        assert config.resolved_partitions() == config.cluster.total_slots
+        cluster = ClusterConfig(n_machines=2, cores_per_machine=3)
+        with SimulatedRuntime(cluster) as runtime:
+            assert DbtfConfig(rank=2).resolved_partitions(runtime) == 6
 
     def test_resolved_partitions_explicit(self):
-        assert DbtfConfig(rank=2, n_partitions=5).resolved_partitions() == 5
+        config = DbtfConfig(rank=2, n_partitions=5)
+        with SimulatedRuntime() as runtime:
+            assert config.resolved_partitions(runtime) == 5
 
 
 class TestRuntimeOverrides:
-    """Cluster overrides must agree with a caller-supplied runtime."""
+    """Cluster settings come from the runtime, never from the config."""
 
     MISMATCHES = [
         ("backend", {"backend": "thread"}),
@@ -213,7 +216,7 @@ class TestRuntimeOverrides:
         tensor = random_tensor((6, 6, 6), density=0.2,
                                rng=np.random.default_rng(0))
         with SimulatedRuntime() as runtime:
-            with pytest.raises(ValueError, match=f"DbtfConfig.{field}="):
+            with pytest.raises(TypeError, match=field):
                 dbtf(tensor, rank=2, runtime=runtime, **override)
             assert not runtime.stages  # rejected before any work ran
 
@@ -225,15 +228,42 @@ class TestRuntimeOverrides:
         with SimulatedRuntime(cluster) as runtime:
             result = dbtf(tensor, rank=2, seed=0, n_partitions=2,
                           max_iterations=1, runtime=runtime)
+            assert runtime.storage is not None  # the budget took effect
+            assert runtime.tracer.spans
         assert result.n_iterations == 1
 
-    def test_matching_overrides_pass(self):
-        tensor = random_tensor((6, 6, 6), density=0.2,
-                               rng=np.random.default_rng(2))
-        config = DbtfConfig(rank=2, seed=0, n_partitions=2, max_iterations=1,
-                            backend="thread", n_workers=2, tracing=True,
-                            memory_budget=1 << 20)
-        with SimulatedRuntime(config.resolved_cluster()) as runtime:
-            result = dbtf(tensor, config=config, runtime=runtime)
-            assert runtime.storage is not None  # the budget took effect
-        assert result.n_iterations == 1
+
+class TestPartitionsFollowRuntime:
+    """``n_partitions=None`` resolves against the runtime that runs the job."""
+
+    CLUSTER = ClusterConfig(n_machines=2, cores_per_machine=2)
+
+    @staticmethod
+    def _task_counts(runtime):
+        return {
+            stage.n_tasks
+            for stage in runtime.stages
+            if "partitionAndPack" in stage.name or "columnErrors" in stage.name
+        }
+
+    def test_dbtf_partitions_from_supplied_runtime(self):
+        tensor = random_tensor((8, 8, 8), density=0.1,
+                               rng=np.random.default_rng(4))
+        with SimulatedRuntime(self.CLUSTER) as runtime:
+            dbtf(tensor, config=DbtfConfig(rank=2, max_iterations=1),
+                 runtime=runtime)
+            assert self._task_counts(runtime) == {4}
+            assert any("partitionAndPack" in s.name for s in runtime.stages)
+
+    def test_session_partitions_from_supplied_runtime(self):
+        from repro import FactorizationSession
+
+        tensor = random_tensor((8, 8, 8), density=0.1,
+                               rng=np.random.default_rng(5))
+        with SimulatedRuntime(self.CLUSTER) as runtime:
+            with FactorizationSession(
+                tensor, DbtfConfig(rank=2, max_iterations=1), runtime
+            ) as session:
+                session.factorize()
+            assert self._task_counts(runtime) == {4}
+            assert any("partitionAndPack" in s.name for s in runtime.stages)

@@ -133,24 +133,24 @@ class TestConfigPlumbing:
         assert cluster.n_workers == 3
         assert cluster.n_machines == 7
 
-    def test_dbtf_config_overrides_cluster(self):
-        config = DbtfConfig(rank=2, backend="process", n_workers=2)
-        resolved = config.resolved_cluster()
-        assert resolved.backend == "process"
-        assert resolved.n_workers == 2
-        # Cost-model parameters are untouched by the override.
-        assert resolved.n_machines == config.cluster.n_machines
-
-    def test_dbtf_config_defers_to_cluster(self):
-        cluster = ClusterConfig(backend="thread")
-        config = DbtfConfig(rank=2, cluster=cluster)
-        assert config.resolved_cluster() is cluster
-
     def test_dbtf_config_rejects_bad_backend(self):
-        with pytest.raises(ValueError):
+        # The backend is a cluster setting: the solver config has no field
+        # for it, so a backend passed there fails loudly, not silently.
+        with pytest.raises(TypeError, match="backend"):
             DbtfConfig(rank=2, backend="mpi")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="n_workers"):
             DbtfConfig(rank=2, n_workers=-1)
+
+    def test_solver_configs_declare_no_cluster_field(self):
+        from dataclasses import fields
+
+        from repro.nway import NwayCpConfig
+        from repro.tucker import BooleanTuckerConfig
+
+        cluster_fields = {field.name for field in fields(ClusterConfig)}
+        for config in (DbtfConfig, NwayCpConfig, BooleanTuckerConfig):
+            mirrored = cluster_fields & {field.name for field in fields(config)}
+            assert not mirrored, f"{config.__name__} mirrors {mirrored}"
 
     def test_runtime_backend_instance_override(self):
         backend = SerialBackend()
@@ -276,8 +276,9 @@ class TestExtensionsUnderBackends:
         config = BooleanTuckerConfig(core_shape=(2, 2, 2), max_iterations=2)
 
         def run(name):
-            result = dbtf_tucker(tensor, config=config, n_partitions=3,
-                                 backend=name, n_workers=2)
+            with _runtime(name) as runtime:
+                result = dbtf_tucker(tensor, config=config, n_partitions=3,
+                                     runtime=runtime)
             return (
                 tuple(f.words.tobytes() for f in result.factors),
                 result.core.coords.tobytes(),
@@ -296,8 +297,10 @@ class TestExtensionsUnderBackends:
 
         def run(name):
             config = NwayCpConfig(rank=2, max_iterations=2, n_initial_sets=3,
-                                  seed=7, backend=name, n_workers=2)
-            result = cp_nway(tensor, config=config)
+                                  seed=7)
+            with _runtime(name) as runtime:
+                result = cp_nway(tensor, config=config, runtime=runtime)
+                assert runtime.stages[-1].name == "cpNway.restarts"
             return (
                 tuple(f.words.tobytes() for f in result.factors),
                 result.error,

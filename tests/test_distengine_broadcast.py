@@ -367,8 +367,10 @@ class TestWorkerResidentMasks:
         config = BooleanTuckerConfig(core_shape=(3, 3, 3), max_iterations=2)
 
         def run(backend):
-            result = dbtf_tucker(tensor, config=config, n_partitions=5,
-                                 backend=backend, n_workers=2)
+            cluster = ClusterConfig(backend=backend, n_workers=2)
+            with SimulatedRuntime(cluster) as runtime:
+                result = dbtf_tucker(tensor, config=config, n_partitions=5,
+                                     runtime=runtime)
             return (
                 tuple(f.words.tobytes() for f in result.factors),
                 result.core.coords.tobytes(),

@@ -1,5 +1,7 @@
 """Unit tests for the simulated RDD and runtime."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -189,7 +191,7 @@ class TestClusterConfig:
         assert ClusterConfig(n_machines=3, cores_per_machine=4).total_slots == 12
 
     def test_with_machines(self):
-        config = ClusterConfig(n_machines=16).with_machines(4)
+        config = replace(ClusterConfig(n_machines=16), n_machines=4)
         assert config.n_machines == 4
         assert config.cores_per_machine == ClusterConfig().cores_per_machine
 

@@ -11,18 +11,18 @@ from repro.tensor import SparseBoolTensor, TensorDelta, planted_tensor
 SHAPE = (10, 9, 8)
 
 
-def _config(backend="serial", **overrides):
-    options = dict(
-        rank=3,
-        seed=0,
-        max_iterations=6,
-        n_partitions=2,
-        cluster=ClusterConfig(
-            n_machines=2, cores_per_machine=2, backend=backend
-        ),
-    )
+def _config(**overrides):
+    options = dict(rank=3, seed=0, max_iterations=6, n_partitions=2)
     options.update(overrides)
     return DbtfConfig(**options)
+
+
+def _runtime(backend="serial", **cluster):
+    return SimulatedRuntime(
+        ClusterConfig(
+            n_machines=2, cores_per_machine=2, backend=backend, **cluster
+        )
+    )
 
 
 def _tensor(seed=0, shape=SHAPE, density=0.2):
@@ -70,11 +70,7 @@ class TestEpochStream:
         config = _config()
         with FactorizationSession(tensor, config) as session:
             first = session.factorize()
-        runtime = SimulatedRuntime(config.resolved_cluster())
-        try:
-            batch = dbtf(tensor, config=config, runtime=runtime)
-        finally:
-            runtime.close()
+        batch = dbtf(tensor, config=config)
         assert _words(first.result) == _words(batch)
         assert first.result.errors_per_iteration == (
             batch.errors_per_iteration
@@ -179,8 +175,8 @@ class TestBackendInvariance:
         deltas = _delta_stream(tensor, 2, seed=9)
         streams = {}
         for backend in ("serial", "thread", "process"):
-            with FactorizationSession(
-                tensor, _config(backend=backend)
+            with _runtime(backend) as runtime, FactorizationSession(
+                tensor, _config(), runtime
             ) as session:
                 streams[backend] = session.run(deltas)
         reference = streams["serial"]
@@ -282,7 +278,7 @@ class TestErrorPaths:
 
 
 class TestRuntimeOverrides:
-    """A session rejects overrides its supplied runtime would ignore."""
+    """Cluster settings come from the runtime, never from the config."""
 
     @pytest.mark.parametrize("field,override", [
         ("backend", {"backend": "thread"}),
@@ -292,20 +288,12 @@ class TestRuntimeOverrides:
         ("spill_dir", {"spill_dir": "/nonexistent-spill-root"}),
     ])
     def test_conflicting_override_names_the_field(self, field, override):
-        config = DbtfConfig(rank=3, seed=0, n_partitions=2, **override)
-        with SimulatedRuntime(ClusterConfig()) as runtime:
-            with pytest.raises(ValueError, match=f"DbtfConfig.{field}="):
-                FactorizationSession(_tensor(), config, runtime)
-
-    def test_budget_override_with_matching_runtime_runs_budgeted(self):
-        config = _config(memory_budget=1 << 20)
-        with SimulatedRuntime(config.resolved_cluster()) as runtime:
-            with FactorizationSession(_tensor(), config, runtime) as session:
-                epoch = session.factorize()
-            assert runtime.storage is not None
-        assert epoch.result.error >= 0
+        with pytest.raises(TypeError, match=field):
+            _config(**override)
 
     def test_unset_overrides_accept_any_runtime(self):
-        with SimulatedRuntime(ClusterConfig(tracing=True)) as runtime:
+        with _runtime(tracing=True, memory_budget=1 << 20) as runtime:
             with FactorizationSession(_tensor(), _config(), runtime) as session:
                 assert session.factorize().epoch == 0
+            assert runtime.storage is not None  # the budget took effect
+            assert runtime.tracer is not None

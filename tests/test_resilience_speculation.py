@@ -1,5 +1,7 @@
 """Speculative execution: straggler detection, makespan effect, determinism."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.distengine import (
@@ -173,8 +175,8 @@ class TestRuntimeIntegration:
             assert "won" in span.attrs
 
     def test_with_speculation_helper(self):
-        config = ClusterConfig().with_speculation(
-            SpeculationConfig(multiplier=2.0)
+        config = replace(
+            ClusterConfig(), speculation=SpeculationConfig(multiplier=2.0)
         )
         assert config.speculation.multiplier == 2.0
         assert ClusterConfig().speculation is None

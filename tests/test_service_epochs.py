@@ -5,6 +5,7 @@ import pytest
 
 from repro import FactorizationSession
 from repro.core import DbtfConfig
+from repro.distengine import SimulatedRuntime
 from repro.incremental import SessionResult
 from repro.service import (
     FactorizationService,
@@ -104,12 +105,10 @@ class TestEpochJobs:
             job_id = service.submit(make_spec(tensor, deltas)).job_id
             service.drain()
             served = service.result(job_id)
-        config = DbtfConfig(
-            rank=3, max_iterations=3, seed=0,
-            cluster=ServiceConfig().cluster,
-        )
-        with FactorizationSession(tensor, config) as session:
-            direct = session.run(deltas)
+        config = DbtfConfig(rank=3, max_iterations=3, seed=0)
+        with SimulatedRuntime(ServiceConfig().cluster) as runtime:
+            with FactorizationSession(tensor, config, runtime) as session:
+                direct = session.run(deltas)
         assert served.errors_per_epoch == direct.errors_per_epoch
         for mine, theirs in zip(served.epochs, direct.epochs):
             for a, b in zip(mine.result.factors, theirs.result.factors):

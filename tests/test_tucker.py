@@ -9,6 +9,7 @@ from repro.tucker import (
     BooleanTuckerConfig,
     BooleanTuckerResult,
     boolean_tucker,
+    dbtf_tucker,
     tucker_reconstruct,
 )
 from repro.tucker.decompose import _reconstruct_dense
@@ -167,3 +168,24 @@ class TestBooleanTucker:
             converged=True,
         )
         assert result.relative_error == 3.0
+
+
+class TestDistributedMatchesDense:
+    """``dbtf_tucker`` and ``boolean_tucker`` run the same greedy updates
+    from the same initialization stream, so they must agree exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_initial_sets", [1, 2])
+    @pytest.mark.parametrize("core_shape", [(2, 2, 2), (3, 2, 4)])
+    def test_same_decomposition(self, core_shape, n_initial_sets, seed):
+        tensor, _, _ = planted_tucker((20, 18, 16), core_shape, 0.3, 0.5, seed)
+        config = BooleanTuckerConfig(
+            core_shape=core_shape, n_initial_sets=n_initial_sets, seed=seed
+        )
+        dense = boolean_tucker(tensor, config=config)
+        distributed = dbtf_tucker(tensor, config=config, n_partitions=4)
+        assert [f.words.tobytes() for f in distributed.factors] == [
+            f.words.tobytes() for f in dense.factors
+        ]
+        assert np.array_equal(distributed.core.coords, dense.core.coords)
+        assert distributed.errors_per_iteration == dense.errors_per_iteration

@@ -90,6 +90,18 @@ class TestDbtfTucker:
         with pytest.raises(ValueError):
             dbtf_tucker(SparseBoolTensor.empty((2, 2, 2)))
 
+    def test_checkpoint_config_rejected(self, tmp_path):
+        from repro.resilience import CheckpointConfig
+
+        config = BooleanTuckerConfig(
+            core_shape=(2, 2, 2),
+            checkpoint=CheckpointConfig(directory=str(tmp_path / "ckpt")),
+        )
+        tensor = planted_tucker((6, 6, 6), (2, 2, 2), 0.3, 0.5, seed=6)
+        with pytest.raises(ValueError, match="boolean_tucker"):
+            dbtf_tucker(tensor, config=config, n_partitions=2)
+        assert not (tmp_path / "ckpt").exists()
+
     def test_invalid_partitions(self):
         with pytest.raises(ValueError):
             dbtf_tucker(
