@@ -48,11 +48,13 @@ def _meter_column_payloads(runtime) -> dict:
     meter = {"bytes": 0}
     run_plan = runtime.run_plan
 
-    def metered(stage_name, fns, indexed_partitions, tap_positions=()):
+    def metered(stage, indexed_partitions):
         indexed_partitions = list(indexed_partitions)
-        if stage_name.endswith("columnErrors"):
-            meter["bytes"] += estimate_bytes(fns[-1]) * len(indexed_partitions)
-        return run_plan(stage_name, fns, indexed_partitions, tap_positions)
+        if stage.name.endswith("columnErrors"):
+            meter["bytes"] += (
+                estimate_bytes(stage.nodes[-1].fn) * len(indexed_partitions)
+            )
+        return run_plan(stage, indexed_partitions)
 
     runtime.run_plan = metered
     return meter

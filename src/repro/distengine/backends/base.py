@@ -26,6 +26,7 @@ from ..faults import FaultInjector, TaskFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ...resilience import RetryPolicy
+    from ..blocks import KeepBlocks
 from ...observability.trace import (
     TaskTraceContext,
     activate_task_context,
@@ -217,7 +218,11 @@ class Backend(ABC):
     #: Whether workers see the driver's objects directly.  Backends that
     #: cross a process boundary set this False, which tells the runtime to
     #: spill broadcast values to disk so workers can resolve
-    #: :class:`~repro.distengine.broadcast.BroadcastHandle` references.
+    #: :class:`~repro.distengine.broadcast.BroadcastHandle` references, and
+    #: to keep persist caches in the workers' block stores; such a backend
+    #: also provides ``fetch_blocks``, ``evict_blocks`` and
+    #: ``release_runtime`` (see :class:`~repro.distengine.backends.
+    #: ProcessBackend`).
     shares_driver_memory = True
 
     @abstractmethod
@@ -229,6 +234,7 @@ class Backend(ABC):
         fault_injector: FaultInjector | None = None,
         collect_trace: bool = False,
         retry_policy: "RetryPolicy | None" = None,
+        keep: "KeepBlocks | None" = None,
     ) -> StageResult:
         """Run ``task_fn`` over every ``(index, items)`` pair.
 
@@ -236,7 +242,10 @@ class Backend(ABC):
         metric increments (see :func:`execute_task`); the driver grafts
         them into its tracer afterwards.  ``retry_policy`` overrides the
         injector's retry budget and charges simulated backoff waits (see
-        :func:`execute_task`).
+        :func:`execute_task`).  ``keep`` (only ever set when
+        :attr:`shares_driver_memory` is False) asks the workers to keep the
+        stage's persist outputs in their block stores and return
+        references (see :mod:`repro.distengine.blocks`).
         """
 
     def close(self) -> None:

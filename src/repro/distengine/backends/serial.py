@@ -33,6 +33,7 @@ class SerialBackend(Backend):
         fault_injector: FaultInjector | None = None,
         collect_trace: bool = False,
         retry_policy=None,
+        keep=None,
     ) -> StageResult:
         outcomes = [
             execute_task(

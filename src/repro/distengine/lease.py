@@ -13,8 +13,9 @@ stage-executor backend (the expensive, shared part) and hands out
 :class:`RuntimeLease`\\ s, each wrapping a *fresh* ``SimulatedRuntime`` that
 executes through the shared backend but owns every piece of measurement
 state privately.  Closing a lease releases the job's state — persist
-caches evicted, broadcast spill files removed — while the pool stays warm
-for the next job.  Closing the factory tears down the pool (and any lease
+caches evicted, broadcast spill files removed, and the job's blocks and
+broadcast values dropped from the workers — while the pool stays warm for
+the next job.  Closing the factory tears down the pool (and any lease
 leaked by a crashed job, so spill directories can never outlive the
 service).
 """

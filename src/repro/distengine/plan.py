@@ -17,6 +17,10 @@ persisted-but-not-yet-cached node.  The node joins the fused chain as a
 back with the final result, so the persist point is populated by the very
 stage that first needed it, without a separate materialization dispatch.
 Subsequent materializations stop at the cached node (a metered cache hit).
+On backends whose workers do not share driver memory the captured output
+stays in the worker and the cache holds block references
+(:mod:`repro.distengine.blocks`); a lost block is recomputed once from
+lineage.
 
 Everything here is deterministic: node ids come from a per-runtime counter,
 stage names are the ``"+"``-joined segments of the fused chain, and
@@ -28,6 +32,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from typing import Any
+
+from .blocks import BlockMissingError
 
 __all__ = [
     "PlanNode",
@@ -218,8 +224,27 @@ class LogicalPlan:
         self.optimizer = optimizer if optimizer is not None else PlanOptimizer()
 
     def execute(self, runtime) -> list[list]:
-        """Materialize the root node's partitions through ``runtime``."""
-        return self._ensure(self.node, runtime)
+        """Materialize the root node's partitions through ``runtime``.
+
+        This is a driver read: worker-resident partitions are fetched.
+        """
+        return self._recovering(self.node, runtime, runtime.fetch_blocks)
+
+    def _recovering(self, node: PlanNode, runtime, use):
+        """``use(partitions of node)``, recomputing lost blocks once.
+
+        A :class:`~repro.distengine.blocks.BlockMissingError` for ``node``
+        means a worker no longer holds part of its cache: the cache is
+        dropped and ``node`` is re-materialized from lineage, which always
+        bottoms out at driver-resident sources.
+        """
+        try:
+            return use(self._ensure(node, runtime))
+        except BlockMissingError as missing:
+            if missing.node_id != node.node_id:
+                raise
+            runtime.drop_lost_blocks(node)
+            return use(self._ensure(node, runtime))
 
     def _ensure(self, node: PlanNode, runtime) -> list[list]:
         # `cached is not None` covers both resident lists and the storage
@@ -230,13 +255,10 @@ class LogicalPlan:
                 runtime.count_cache_hits(len(node.cached))
             return runtime.cached_partitions(node)
         chain, base_node = self.optimizer.chain_for(node)
-        base = self._ensure(base_node, runtime)
         stage = PhysicalStage(chain)
-        finals, tapped = runtime.run_plan(
-            stage.name,
-            [member.fn for member in chain],
-            list(enumerate(base)),
-            stage.tap_positions,
+        finals, tapped = self._recovering(
+            base_node, runtime,
+            lambda base: runtime.run_plan(stage, list(enumerate(base))),
         )
         for position, partitions in tapped:
             chain[position].cached = partitions

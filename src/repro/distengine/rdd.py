@@ -289,9 +289,10 @@ class Distributed:
         The partitions are cached at first materialization — when fusion
         reaches a persisted node it taps the fused task's intermediate
         output, so the cache fills without a dedicated stage — and reused
-        until :meth:`unpersist` or ``runtime.close()`` evicts them.
-        Persisting a source is a no-op: its partitions already live on the
-        driver.
+        until :meth:`unpersist` or ``runtime.close()`` evicts them.  On the
+        process backend the cached partitions stay in the workers that
+        computed them.  Persisting a source is a no-op: its partitions
+        already live on the driver.
         """
         node = self.node
         if node.is_source or node.persisted:

@@ -23,10 +23,11 @@ from ..observability import MetricsRegistry, SpanKind, Tracer
 from ..resilience import RetryPolicy, plan_speculation
 from ..storage import MemoryBudget, PartitionSpillStore
 from .backends import Backend, make_backend
+from .blocks import BlockRef, KeepBlocks
 from .broadcast import Broadcast
 from .cluster import DEFAULT_CLUSTER, ClusterConfig
 from .faults import FaultInjector
-from .plan import FusedChainTask, LogicalPlan, PlanNode, PlanOptimizer
+from .plan import FusedChainTask, LogicalPlan, PhysicalStage, PlanNode, PlanOptimizer
 from .rdd import Distributed
 from .scheduler import makespan
 from .shuffle import (
@@ -148,6 +149,15 @@ class SimulatedRuntime:
         # owner closes it.
         self._owns_backend = owns_backend
         self._closed = False
+        # Worker-resident state (backends that do not share driver memory):
+        # the token keys this runtime's blocks in the workers' stores, so
+        # leases on one shared pool never see each other's blocks, and the
+        # broadcast content ids are what close()/reset() tell the workers
+        # to drop.  ``_keep`` carries the current plan stage's block-store
+        # instruction from run_plan to the backend.
+        self.token = os.urandom(8).hex()
+        self._broadcast_ids: set[str] = set()
+        self._keep: KeepBlocks | None = None
         # Plan layer: node ids are handed out in creation order (so
         # ``explain()`` output is deterministic) and persisted nodes are
         # tracked for eviction.
@@ -171,6 +181,7 @@ class SimulatedRuntime:
                 measure=estimate_bytes,
                 record_io=self._record_spill_io,
                 tracer=self.tracer,
+                pull=self._pull_blocks,
             )
         # Memmap-backed unfolding files (built lazily by the first caller):
         # only meaningful alongside the storage tier, which also provides
@@ -189,6 +200,7 @@ class SimulatedRuntime:
             return
         self._closed = True
         self.evict_all()
+        self._release_workers()
         if self._unfolding_store is not None:
             self._unfolding_store.close()
             self._unfolding_store = None
@@ -298,6 +310,7 @@ class SimulatedRuntime:
             return None
         if self._spill_dir is None:
             self._spill_dir = tempfile.mkdtemp(prefix="repro-broadcast-")
+        self._broadcast_ids.add(content_id)
         path = os.path.join(self._spill_dir, content_id + ".pkl")
         if not os.path.exists(path):
             staging = path + ".tmp"
@@ -333,9 +346,31 @@ class SimulatedRuntime:
                 self.metrics.counter("partitions_evicted_total").inc(
                     len(node.cached)
                 )
+            if not self.backend.shares_driver_memory:
+                self.backend.evict_blocks(self.token, (node.node_id,))
             node.cached = None
         if self.storage is not None:
             self.storage.discard(node)
+
+    def drop_lost_blocks(self, node: PlanNode) -> None:
+        """Drop a cache whose worker-resident blocks went missing.
+
+        The plan layer calls this on a
+        :class:`~repro.distengine.blocks.BlockMissingError` and then
+        re-materializes ``node`` from lineage; every partition it
+        recomputes counts in ``blocks_recomputed_total``.  The surviving
+        blocks are evicted too, so the recompute starts from a clean slate.
+        """
+        self.metrics.counter("blocks_recomputed_total").inc(len(node.cached))
+        self.backend.evict_blocks(self.token, (node.node_id,))
+        node.cached = None
+        if self.storage is not None:
+            self.storage.discard(node)
+
+    def _release_workers(self) -> None:
+        """Tell the workers to drop this runtime's blocks and broadcasts."""
+        if not self.backend.shares_driver_memory:
+            self.backend.release_runtime(self.token, sorted(self._broadcast_ids))
 
     def evict_all(self, count: bool = True) -> None:
         """Evict every registered persist cache (``close()``/``reset()``)."""
@@ -352,7 +387,12 @@ class SimulatedRuntime:
     # Out-of-core storage tier (no-ops without a memory budget)
     # ------------------------------------------------------------------
     def cached_partitions(self, node: PlanNode) -> "list[list] | None":
-        """The partitions behind ``node.cached``, paging spilled ones in."""
+        """The partitions behind ``node.cached``, paging spilled ones in.
+
+        Worker-resident partitions stay block references here — this is
+        what the next stage ships; driver reads go through
+        :meth:`fetch_blocks`.
+        """
         if self.storage is not None:
             return self.storage.fetch(node)
         return node.cached
@@ -366,29 +406,77 @@ class SimulatedRuntime:
         """Ledger/metrics/trace entry for one storage spill or load."""
         self.record_transfer(TransferKind.SPILL, stage, n_bytes)
 
+    # ------------------------------------------------------------------
+    # Worker-resident blocks (backends that do not share driver memory)
+    # ------------------------------------------------------------------
+    def fetch_blocks(self, partitions: list) -> list:
+        """``partitions`` for a driver read: block references fetched.
+
+        Raises :class:`~repro.distengine.blocks.BlockMissingError` when a
+        worker lost a referenced block.
+        """
+        if self.backend.shares_driver_memory or not any(
+            isinstance(partition, BlockRef) for partition in partitions
+        ):
+            return partitions
+        return self.backend.fetch_blocks(partitions)
+
+    def _pull_blocks(self, partitions: list) -> None:
+        """Move worker-resident ``partitions`` back to the driver, in place.
+
+        The storage tier calls this before it spills a cache: the spill
+        file then holds the same partition lists on every backend, and the
+        workers drop the blocks the driver now owns.  In place, because the
+        stage that just cached an oversized node still hands this list on.
+        """
+        refs = [p for p in partitions if isinstance(p, BlockRef)]
+        if not refs:
+            return
+        partitions[:] = self.backend.fetch_blocks(partitions)
+        self.backend.evict_blocks(
+            self.token, sorted({ref.node_id for ref in refs})
+        )
+
     def run_plan(
-        self,
-        stage_name: str,
-        fns: list,
-        indexed_partitions,
-        tap_positions=(),
+        self, stage: PhysicalStage, indexed_partitions
     ) -> tuple[list[list], list[tuple[int, list[list]]]]:
         """Execute a fused chain of narrow task functions as one stage.
 
-        ``fns`` are applied in order inside a single
-        :class:`~repro.distengine.plan.FusedChainTask` per partition;
-        ``tap_positions`` name the chain positions whose intermediate
+        The chain's functions are applied in order inside a single
+        :class:`~repro.distengine.plan.FusedChainTask` per partition; the
+        stage's tap positions name the chain positions whose intermediate
         output must come back for persist caches.  Single-function chains
-        skip the wrapper entirely, so a one-node stage ships the node's own
-        task function.  Returns ``(final_partitions, tapped)`` with
-        ``tapped`` sorted by chain position; all metering — durations,
-        counters, retries, speculation, spans — flows through
-        :meth:`run_stage` under the composite ``stage_name``.
+        without taps skip the wrapper entirely, so a one-node stage ships
+        the node's own task function.  Returns ``(final_partitions,
+        tapped)`` with ``tapped`` sorted by chain position; all metering —
+        durations, counters, retries, speculation, spans — flows through
+        :meth:`run_stage` under the composite stage name.
+
+        When the backend does not share driver memory, the persist outputs
+        (taps, and the terminal node when persisted) stay in the workers
+        and come back as :class:`~repro.distengine.blocks.BlockRef`\\ s.
         """
-        if len(fns) == 1 and not tap_positions:
-            return self.run_stage(stage_name, fns[0], indexed_partitions), []
-        task = FusedChainTask(fns, tap_positions)
-        wrapped = self.run_stage(stage_name, task, indexed_partitions)
+        fns = [node.fn for node in stage.nodes]
+        tap_positions = stage.tap_positions
+        # Taps exclude the terminal node, so a one-node chain has none.
+        fused = len(fns) > 1
+        task = FusedChainTask(fns, tap_positions) if fused else fns[0]
+        terminal = stage.nodes[-1]
+        if not self.backend.shares_driver_memory and (
+            tap_positions or terminal.persisted
+        ):
+            self._keep = KeepBlocks(
+                self.token,
+                tuple(stage.nodes[position].node_id for position in tap_positions),
+                terminal.node_id if terminal.persisted else None,
+                fused,
+            )
+        try:
+            wrapped = self.run_stage(stage.name, task, indexed_partitions)
+        finally:
+            self._keep = None
+        if not fused:
+            return wrapped, []
         finals: list[list] = []
         tapped: dict[int, list[list]] = {
             position: [] for position in tap_positions
@@ -428,6 +516,7 @@ class SimulatedRuntime:
         stage = self.backend.run_stage(
             stage_name, task_fn, indexed_partitions, self.fault_injector,
             collect_trace=tracing, retry_policy=self.retry_policy,
+            keep=self._keep,
         )
         wall_time = time.perf_counter() - started
         self.record_stage(
@@ -620,6 +709,7 @@ class SimulatedRuntime:
         # counters are being wiped anyway) so a reset runtime re-dispatches
         # from clean lineage.
         self.evict_all(count=False)
+        self._release_workers()
         self.metrics.reset()
         if self.tracer is not None:
             self.tracer.reset()

@@ -106,6 +106,11 @@ class PartitionSpillStore:
         bytes to the cost model (``TransferKind.SPILL``).
     tracer:
         Optional tracer; spill/load record zero-duration ``storage`` spans.
+    pull:
+        ``partitions -> None`` callback that replaces any worker-resident
+        block references in the list with the partitions themselves, in
+        place; the runtime injects it so a spill file holds the partition
+        lists on every backend.
     """
 
     def __init__(
@@ -115,6 +120,7 @@ class PartitionSpillStore:
         measure: "Callable[[list], int] | None" = None,
         record_io: "Callable[[str, int], None] | None" = None,
         tracer: Any = None,
+        pull: "Callable[[list], None] | None" = None,
     ):
         self.budget = budget
         if spill_dir is not None:
@@ -123,6 +129,7 @@ class PartitionSpillStore:
         self._measure = measure if measure is not None else _default_measure
         self._record_io = record_io
         self._tracer = tracer
+        self._pull = pull
         #: node_id -> entry, LRU order (first = coldest).  Strong refs are
         #: fine: entries leave via ``discard`` (runtime eviction) or
         #: ``close`` (runtime shutdown), both guaranteed paths.
@@ -206,8 +213,11 @@ class PartitionSpillStore:
 
         A node re-admitted after a load already has its spill file on disk;
         the rewrite (and its I/O charge) is skipped — the file is immutable
-        because plan caches are written once.
+        because plan caches are written once.  Worker-resident partitions
+        are pulled back to the driver first.
         """
+        if self._pull is not None:
+            self._pull(partitions)
         wrote = not os.path.exists(entry.path)
         if wrote:
             staging = entry.path + ".tmp"

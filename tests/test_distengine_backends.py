@@ -107,10 +107,10 @@ class TestBackendUnits:
     def test_pool_reused_across_stages(self):
         with ThreadBackend(n_workers=2) as backend:
             backend.run_stage("a", _square_partition, [(0, [1])])
-            executor = backend._executor
+            executors = list(backend._executors)
             backend.run_stage("b", _square_partition, [(0, [2])])
-            assert backend._executor is executor
-        assert backend._executor is None  # close() tore the pool down
+            assert backend._executors == executors
+        assert backend._executors == []  # close() tore the pool down
 
     def test_execute_task_counts_failures(self):
         injector = FaultInjector(failure_rate=0.9, max_retries=50, seed=0)

@@ -173,6 +173,40 @@ class TestBudgetedFactorization:
         for got, want in zip(result.factors, baseline.factors):
             assert np.array_equal(got.words, want.words)
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_storage_accounting_backend_invariant(self, backend):
+        # On the process backend persist caches live in the workers; the
+        # tier charges the block sizes measured there, so its accounting
+        # matches serial exactly.
+        def accounting(name):
+            result, _, budget = _run(name, memory_budget=BUDGET_BYTES)
+            return (
+                result.report.spill_bytes, budget.spill_events,
+                budget.load_events, budget.peak_resident,
+                result.report.network_bytes,
+            )
+
+        assert accounting(backend) == accounting("serial")
+
+    def test_spilled_worker_caches_hold_partitions(self):
+        # At 512 B every cache outgrows the budget and spills as soon as it
+        # is admitted.  On the process backend the cache lives in the
+        # workers, so the spill must pull the partitions back first.
+        serial, _, serial_budget = _run("serial", memory_budget=512)
+        result, _, budget = _run("process", memory_budget=512)
+        assert result.errors_per_iteration == serial.errors_per_iteration
+        for got, want in zip(result.factors, serial.factors):
+            assert np.array_equal(got.words, want.words)
+        assert (budget.spill_events, budget.load_events) == (
+            serial_budget.spill_events, serial_budget.load_events
+        )
+        # Numpy dtypes unpickled from worker replies pickle a few bytes
+        # larger than one process's shared dtype objects; spilled block
+        # references instead of partitions would be over 10x smaller.
+        assert result.report.spill_bytes == pytest.approx(
+            serial.report.spill_bytes, rel=0.05
+        )
+
     def test_spill_bytes_metered_not_networked(self, baseline):
         result, _, _ = _run("serial", memory_budget=BUDGET_BYTES)
         assert result.report.spill_bytes > 0
