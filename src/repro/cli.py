@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Walk'n'Merge's t parameter")
     factorize.add_argument("--backend", choices=["serial", "thread", "process"],
                            default="serial",
-                           help="host-side stage executor for dbtf/nway-cp "
+                           help="host-side stage executor for "
+                                "dbtf/tucker/nway-cp "
                                 "(results are identical; a parallel backend "
                                 "uses more cores)")
     factorize.add_argument("--workers", type=int, default=None,
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="directory for A.mtx/B.mtx/C.mtx")
     factorize.add_argument("--trace", default=None, metavar="PATH",
                            help="write a structured span trace of the run "
-                                "(dbtf/nway-cp only)")
+                                "(dbtf/tucker/nway-cp only)")
     factorize.add_argument("--trace-format", choices=["jsonl", "chrome"],
                            default="jsonl",
                            help="trace file format: one JSON object per "
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "for chrome://tracing / Perfetto")
     factorize.add_argument("--metrics", action="store_true",
                            help="print the stage/transfer/metrics summary "
-                                "after the run (dbtf/nway-cp only)")
+                                "after the run (dbtf/tucker/nway-cp only)")
     factorize.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                            help="snapshot the decomposition state into DIR "
                                 "at iteration boundaries "
@@ -266,10 +267,10 @@ def _command_factorize(args: argparse.Namespace) -> int:
     from .tensor import load_tensor, save_factors
 
     observing = args.trace is not None or args.metrics
-    if observing and args.method not in ("dbtf", "nway-cp"):
+    if observing and args.method not in ("dbtf", "tucker", "nway-cp"):
         print(
-            f"--trace/--metrics are only supported for dbtf and nway-cp, "
-            f"not {args.method}",
+            f"--trace/--metrics are only supported for dbtf, tucker, and "
+            f"nway-cp, not {args.method}",
             file=sys.stderr,
         )
         return 2
@@ -316,26 +317,17 @@ def _command_factorize(args: argparse.Namespace) -> int:
         )
         return 2
 
-    from contextlib import nullcontext
-
     from .distengine import SimulatedRuntime
 
     tensor = load_tensor(args.tensor)
-    engine = (
-        SimulatedRuntime(cluster)
-        if args.method in ("dbtf", "nway-cp")
-        else nullcontext()
-    )
-    with engine as runtime:
+    with SimulatedRuntime(cluster) as runtime:
         result = _run_method(args, tensor, checkpoint, runtime)
-    tracer = metrics = None
-    if observing:
-        tracer, metrics = runtime.tracer, runtime.metrics
+    tracer, metrics = runtime.tracer, runtime.metrics
 
     print(f"error          : {result.error}")
     print(f"relative error : {result.relative_error:.4f}")
 
-    if args.trace is not None and tracer is not None:
+    if args.trace is not None:
         from .observability import write_chrome_trace, write_jsonl
 
         if args.trace_format == "chrome":
@@ -393,8 +385,8 @@ def _cluster_from_args(args: argparse.Namespace, tracing: bool = False):
 def _run_method(args: argparse.Namespace, tensor, checkpoint, runtime):
     """Factorize ``tensor`` with ``--method``, printing its header lines.
 
-    ``runtime`` carries the cluster settings for dbtf and nway-cp and is
-    ``None`` for the single-machine methods.
+    ``runtime`` carries the cluster settings for dbtf, tucker and nway-cp;
+    the single-machine baselines (bcp-als, walk-n-merge) do not use it.
     """
     if args.method == "dbtf" and args.delta:
         from .core import DbtfConfig
@@ -495,6 +487,7 @@ def _run_method(args: argparse.Namespace, tensor, checkpoint, runtime):
             seed=args.seed,
             checkpoint=checkpoint,
         ),
+        runtime=runtime,
     )
     print(f"method         : Boolean Tucker (core {core_shape}, "
           f"{result.core.nnz} core nonzeros)")

@@ -349,7 +349,7 @@ class FactorizationService:
     # Job lifecycle internals
     # ------------------------------------------------------------------
     def _activate(self, job: Job) -> None:
-        """Attach a generator (and, for dbtf, a runtime lease) to a job.
+        """Attach a generator (and, for dbtf and tucker, a runtime lease).
 
         Every activation builds its checkpoint config with ``resume=True``:
         on a fresh directory that is a no-op, and after a preemption, a
@@ -366,7 +366,7 @@ class FactorizationService:
         job.checkpoint_dir = str(checkpoint.directory)
         job.checkpoint_every = self.config.checkpoint_every
         try:
-            if spec.method == "dbtf":
+            if spec.method in ("dbtf", "tucker"):
                 cluster = self.config.cluster
                 if cluster.memory_budget is not None:
                     # Each job spills under its own checkpoint root, so a
@@ -377,6 +377,7 @@ class FactorizationService:
                         spill_dir=str(self._root / job.job_id / "spill"),
                     )
                 job.lease = self.factory.lease(config=cluster)
+            if spec.method == "dbtf":
                 if spec.deltas:
                     # Epoch stream: one incremental session owns the whole
                     # delta sequence, checkpointing each epoch into its own
@@ -429,7 +430,9 @@ class FactorizationService:
                     seed=spec.seed,
                     checkpoint=checkpoint,
                 )
-                job.generator = boolean_tucker_steps(spec.tensor, config)
+                job.generator = boolean_tucker_steps(
+                    spec.tensor, config, job.lease.runtime
+                )
         except Exception as exc:  # noqa: BLE001 - bad spec fails one job only
             self._fail(job, exc)
             return

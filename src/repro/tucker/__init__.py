@@ -7,12 +7,11 @@ from .decompose import (
     boolean_tucker_steps,
     tucker_reconstruct,
 )
-from .distributed import dbtf_tucker, update_tucker_factor
+from .distributed import update_tucker_factor
 
 __all__ = [
     "boolean_tucker",
     "boolean_tucker_steps",
-    "dbtf_tucker",
     "update_tucker_factor",
     "tucker_reconstruct",
     "BooleanTuckerConfig",

@@ -10,17 +10,15 @@ A (I x R1), B (J x R2), C (K x R3).  CP is the special case of a
 hyper-diagonal core.
 
 The solver is the same alternating greedy scheme as DBTF's CP updates,
-adapted to the Tucker structure:
+run on the same distributed machinery:
 
-* each factor matrix is updated column by column; component p's coverage
-  slab ``Cov_p = (B ∘ G_p ∘ Cᵀ)`` is precomputed once per update, so a row
-  entry's error delta only needs the newly covered cells;
-* the core is updated entry by entry against the coverage *count* of all
-  other core entries, so flipping ``g_pqr`` is an O(IJK) delta, not a full
-  reconstruction.
-
-This module is single-machine (an extension, not the paper's headline
-algorithm) and works on dense Boolean arrays at laptop scale.
+* each factor matrix is updated column by column on the simulated engine
+  (:func:`repro.tucker.distributed.update_tucker_factor`, DBTF's
+  Algorithm 4 over per-pattern effective-basis caches), against the
+  partitioned unfoldings built once per run;
+* the core is tiny compared to the factors, so it is updated on the driver,
+  entry by entry against the coverage *count* of all other core entries —
+  flipping ``g_pqr`` is an O(IJK) delta, not a full reconstruction.
 """
 
 from __future__ import annotations
@@ -31,9 +29,12 @@ from typing import Generator
 import numpy as np
 
 from ..bitops import BitMatrix
+from ..core.decompose import prepare_partitioned_unfoldings
 from ..core.steps import StepEvent, drive
+from ..distengine import Distributed, SimulatedRuntime
 from ..resilience import CheckpointConfig, CheckpointManager, config_fingerprint
 from ..tensor import SparseBoolTensor
+from .distributed import update_tucker_factor
 
 __all__ = [
     "BooleanTuckerConfig",
@@ -99,9 +100,7 @@ class BooleanTuckerResult:
         return len(self.errors_per_iteration)
 
     def reconstruct(self) -> SparseBoolTensor:
-        factors_dense = tuple(factor.to_dense() for factor in self.factors)
-        dense = _reconstruct_dense(self.core.to_dense(), factors_dense)
-        return SparseBoolTensor.from_dense(dense)
+        return tucker_reconstruct(self.core, self.factors)
 
 
 def tucker_reconstruct(
@@ -124,54 +123,6 @@ def _reconstruct_dense(core: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.
     stage = (stage > 0).astype(np.int64)
     stage = np.einsum("kr,ijr->ijk", c, stage)
     return (stage > 0).astype(np.uint8)
-
-
-def _coverage_slabs(
-    core: np.ndarray, second: np.ndarray, third: np.ndarray
-) -> np.ndarray:
-    """Per-component coverage for the mode being updated.
-
-    For mode 1 (updating A): slab p covers the (J, K) cells
-    ``OR over (q, r) of g_pqr AND b_jq AND c_kr`` — computed as two Boolean
-    matrix products per component.
-    """
-    r1 = core.shape[0]
-    slabs = np.zeros((r1, second.shape[0], third.shape[0]), dtype=bool)
-    second_int = second.astype(np.int64)
-    third_int = third.astype(np.int64)
-    for p in range(r1):
-        middle = second_int @ core[p].astype(np.int64)  # (J, R3) counts
-        slabs[p] = (middle.astype(bool).astype(np.int64) @ third_int.T) > 0
-    return slabs
-
-
-def _update_factor_dense(
-    unfolded: np.ndarray, factor: np.ndarray, slabs: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Greedy column-wise update of one factor given coverage slabs.
-
-    ``unfolded`` is the tensor with the updated mode first, flattened to
-    (n_rows, cells); ``slabs`` is (rank, cells) Boolean coverage per
-    component.  Mirrors DBTF's Algorithm 4 on dense arrays.
-    """
-    n_rows, rank = factor.shape
-    updated = factor.copy()
-    error_after = 0
-    for column in range(rank):
-        cover_others = np.zeros_like(unfolded, dtype=bool)
-        for component in range(rank):
-            if component == column:
-                continue
-            users = updated[:, component].astype(bool)
-            if users.any():
-                cover_others[users] |= slabs[component]
-        error_if_zero = (cover_others ^ unfolded).sum(axis=1)
-        newly = slabs[column][None, :] & ~cover_others
-        delta = newly.sum(axis=1) - 2 * (newly & unfolded).sum(axis=1)
-        error_if_one = error_if_zero + delta
-        updated[:, column] = (error_if_one < error_if_zero).astype(np.uint8)
-        error_after = int(np.minimum(error_if_zero, error_if_one).sum())
-    return updated, error_after
 
 
 def _update_core(
@@ -265,6 +216,7 @@ def boolean_tucker(
     tensor: SparseBoolTensor,
     core_shape: tuple[int, int, int] | None = None,
     config: BooleanTuckerConfig | None = None,
+    runtime: SimulatedRuntime | None = None,
 ) -> BooleanTuckerResult:
     """Boolean Tucker decomposition of a three-way binary tensor.
 
@@ -276,6 +228,12 @@ def boolean_tucker(
         Core sizes ``(R1, R2, R3)`` (ignored when ``config`` is given).
     config:
         Full configuration.
+    runtime:
+        Simulated cluster runtime the factor updates run and are metered
+        on; the tensor is split into ``runtime.config.total_slots``
+        partitions.  A fresh ``SimulatedRuntime()`` on ``DEFAULT_CLUSTER``
+        is created, and closed afterwards, if not provided.  Results are
+        invariant to the backend and the partition count.
 
     Returns
     -------
@@ -286,12 +244,13 @@ def boolean_tucker(
         if core_shape is None:
             raise ValueError("either core_shape or config must be provided")
         config = BooleanTuckerConfig(core_shape=core_shape)
-    return drive(boolean_tucker_steps(tensor, config))
+    return drive(boolean_tucker_steps(tensor, config, runtime))
 
 
 def boolean_tucker_steps(
     tensor: SparseBoolTensor,
     config: BooleanTuckerConfig,
+    runtime: SimulatedRuntime | None = None,
 ) -> Generator[StepEvent, None, BooleanTuckerResult]:
     """Cooperatively-stepped Boolean Tucker: one iteration per ``next()``.
 
@@ -300,53 +259,60 @@ def boolean_tucker_steps(
     step encoded as ``restart * max_iterations + iteration`` exactly like
     the snapshot filenames — so a consumer may cancel mid-restart and a
     resumed run continues bit-identically.  Draining the generator is
-    :func:`boolean_tucker`.
+    :func:`boolean_tucker`, which documents ``runtime``.
     """
     if tensor.ndim != 3:
         raise ValueError(
             f"Boolean Tucker factorizes three-way tensors, got {tensor.ndim}-way"
         )
+    owns_runtime = runtime is None
+    if runtime is None:
+        runtime = SimulatedRuntime()
 
-    manager = None
-    if config.checkpoint is not None:
-        manager = CheckpointManager(
-            config.checkpoint, _tucker_fingerprint(tensor, config)
-        )
-
-    dense = tensor.to_dense()
-    best: BooleanTuckerResult | None = None
-    start_restart = 0
-    resume_state = None
-    if manager is not None and config.checkpoint.resume:
-        loaded = manager.load_latest()
-        if loaded is not None:
-            _step, state = loaded
-            best = state["best"]
-            start_restart = int(state["restart"])
-            resume_state = state
-    for restart in range(start_restart, config.n_initial_sets):
-        rng = np.random.default_rng(config.seed + restart)
-        save_fn = None
-        if manager is not None:
-            save_fn = _make_tucker_saver(manager, config, restart, best)
-        solver = _solve_steps(
-            tensor, dense, config, rng, save_fn=save_fn, resume=resume_state
-        )
-        candidate = None
-        while candidate is None:
-            try:
-                iteration, error, restart_converged = next(solver)
-            except StopIteration as stop:
-                candidate = stop.value
-                break
-            yield StepEvent(
-                restart * config.max_iterations + iteration,
-                error,
-                restart_converged,
+    mode_rdds: list[Distributed] = []
+    try:
+        manager = None
+        if config.checkpoint is not None:
+            manager = CheckpointManager(
+                config.checkpoint,
+                _tucker_fingerprint(tensor, config),
+                metrics=runtime.metrics,
+                tracer=runtime.tracer,
             )
+        # Built once for every restart; like dbtf, a resumed run rebuilds
+        # them through lineage rather than reading them from a snapshot.
+        mode_rdds = prepare_partitioned_unfoldings(
+            tensor, runtime.config.total_slots, runtime
+        )
+        dense = tensor.to_dense()
+        best: BooleanTuckerResult | None = None
+        start_restart = 0
         resume_state = None
-        if best is None or candidate.error < best.error:
-            best = candidate
+        if manager is not None and config.checkpoint.resume:
+            loaded = manager.load_latest()
+            if loaded is not None:
+                _step, state = loaded
+                best = state["best"]
+                start_restart = int(state["restart"])
+                resume_state = state
+        for restart in range(start_restart, config.n_initial_sets):
+            rng = np.random.default_rng(config.seed + restart)
+            save_fn = None
+            if manager is not None:
+                save_fn = _make_tucker_saver(manager, config, restart, best)
+            candidate = yield from _solve_steps(
+                tensor, dense, mode_rdds, config, runtime, restart, rng,
+                save_fn=save_fn, resume=resume_state,
+            )
+            resume_state = None
+            if best is None or candidate.error < best.error:
+                best = candidate
+    finally:
+        # Also the cancellation path: ``generator.close()`` lands here.
+        for rdd in mode_rdds:
+            rdd.unpersist()
+        if owns_runtime:
+            runtime.close()
     return best
 
 
@@ -399,18 +365,34 @@ def _make_tucker_saver(
     return save
 
 
+# Per mode: (outer factor index, inner factor index, core permutation) such
+# that S_u[t, i] = OR_o core_perm[t, i, o] AND u_o with u the outer row.
+_TUCKER_MODE_ROLES = {
+    0: (2, 1, (0, 1, 2)),  # update A: outer C (R3), inner B (R2)
+    1: (2, 0, (1, 0, 2)),  # update B: outer C (R3), inner A (R1)
+    2: (1, 0, (2, 0, 1)),  # update C: outer B (R2), inner A (R1)
+}
+
+# V, the number of columns one row-summation cache table covers (the
+# paper's default, as ``DbtfConfig.cache_group_size``).
+_CACHE_GROUP_SIZE = 15
+
+
 def _solve_steps(
     tensor: SparseBoolTensor,
     dense: np.ndarray,
+    mode_rdds: list[Distributed],
     config: BooleanTuckerConfig,
+    runtime: SimulatedRuntime,
+    restart: int,
     rng: np.random.Generator,
     save_fn=None,
     resume: "dict | None" = None,
-) -> "Generator[tuple[int, int, bool], None, BooleanTuckerResult]":
+) -> Generator[StepEvent, None, BooleanTuckerResult]:
     """One alternating-minimization run from one initialization.
 
-    Yields ``(iteration, error, converged)`` after each iteration — after
-    ``save_fn`` has snapshotted it — and returns the restart's result.
+    Yields a :class:`~repro.core.steps.StepEvent` after each iteration —
+    after ``save_fn`` has snapshotted it — and returns the restart's result.
 
     ``resume`` is a checkpoint state for *this* restart: initialization is
     skipped (its rng draws already happened before the snapshot) and the
@@ -418,14 +400,14 @@ def _solve_steps(
     """
     if resume is not None:
         core = np.array(resume["core"], dtype=np.uint8)
-        factors = tuple(
+        factors = [
             np.array(factor, dtype=np.uint8) for factor in resume["factors"]
-        )
+        ]
         errors = list(resume["errors"])
         converged = bool(resume["converged"])
         start_iteration = int(resume["iteration"]) + 1
     else:
-        factors = _sampled_tucker_factors(tensor, config, rng)
+        factors = list(_sampled_tucker_factors(tensor, config, rng))
         # Hyper-diagonal initial core: component r glues the three fiber
         # columns seeded from the same anchor (the CP special case).
         core = np.zeros(config.core_shape, dtype=np.uint8)
@@ -439,43 +421,30 @@ def _solve_steps(
     for iteration in range(start_iteration, config.max_iterations):
         if converged:
             break
-        # Mode 1: rows are i, cells are (j, k) flattened.
-        slabs = _coverage_slabs(core, factors[1], factors[2])
-        new_a, error = _update_factor_dense(
-            dense.reshape(dense.shape[0], -1),
-            factors[0],
-            slabs.reshape(slabs.shape[0], -1),
-        )
-        factors = (new_a, factors[1], factors[2])
-        # Mode 2: permute so j comes first; core modes follow the same
-        # permutation (q, p, r).
-        slabs = _coverage_slabs(core.transpose(1, 0, 2), factors[0], factors[2])
-        new_b, error = _update_factor_dense(
-            dense.transpose(1, 0, 2).reshape(dense.shape[1], -1),
-            factors[1],
-            slabs.reshape(slabs.shape[0], -1),
-        )
-        factors = (factors[0], new_b, factors[2])
-        # Mode 3: permutation (r, p, q).
-        slabs = _coverage_slabs(core.transpose(2, 0, 1), factors[0], factors[1])
-        new_c, error = _update_factor_dense(
-            dense.transpose(2, 0, 1).reshape(dense.shape[2], -1),
-            factors[2],
-            slabs.reshape(slabs.shape[0], -1),
-        )
-        factors = (factors[0], factors[1], new_c)
+        for mode in range(3):
+            outer_index, inner_index, permutation = _TUCKER_MODE_ROLES[mode]
+            updated, _ = update_tucker_factor(
+                mode_rdds[mode],
+                BitMatrix.from_dense(factors[mode]),
+                BitMatrix.from_dense(factors[outer_index]),
+                BitMatrix.from_dense(factors[inner_index]),
+                core.transpose(permutation),
+                _CACHE_GROUP_SIZE,
+                runtime,
+            )
+            factors[mode] = updated.to_dense()
         # Core last: with refreshed factors it can recruit off-diagonal
         # entries (the structure CP cannot express).
-        core, error = _update_core(dense, core, factors)
+        core, error = _update_core(dense, core, tuple(factors))
 
         if errors and errors[-1] - error <= threshold:
             converged = True
         errors.append(error)
         if save_fn is not None:
             save_fn(iteration, core, factors, errors, converged)
-        yield iteration, error, converged
-        if converged:
-            break
+        yield StepEvent(
+            restart * config.max_iterations + iteration, error, converged
+        )
 
     return BooleanTuckerResult(
         core=SparseBoolTensor.from_dense(core),

@@ -1,4 +1,4 @@
-"""Distributed Boolean Tucker factorization on the simulated engine.
+"""Distributed Boolean Tucker factor updates on the simulated engine.
 
 The journal extension of DBTF generalizes its distributed machinery from CP
 to Tucker.  The key observation that keeps the row-summation cache usable:
@@ -18,33 +18,24 @@ row-summation cache table per distinct pattern and the CP update kernel
 carries over: key = the target row's bitmask, candidate-1 evaluated as a
 delta over newly covered cells.
 
-The binary core is updated on the driver (entry-wise greedy against
-coverage counts, as in :mod:`repro.tucker.decompose`); in the journal
-algorithm the core update is likewise a driver-coordinated step since the
-core is tiny compared to the factors.
+This module holds the engine side only; the solver loop that alternates
+these factor updates with the driver-side core update is
+:func:`repro.tucker.boolean_tucker`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..bitops import BitMatrix, boolean_matmul, packing
+from ..bitops import BitMatrix, packing
 from ..bitops.packing import xor_popcount_rows
 from ..core.cache import RowSummationCache
-from ..observability.trace import kernel_span
-from ..core.decompose import prepare_partitioned_unfoldings
 from ..core.partition import PartitionData
 from ..core.update import SweepStages, sweep_columns
 from ..distengine import Distributed, SimulatedRuntime
-from ..tensor import SparseBoolTensor
-from .decompose import (
-    BooleanTuckerConfig,
-    BooleanTuckerResult,
-    _sampled_tucker_factors,
-    _update_core,
-)
+from ..observability.trace import kernel_span
 
-__all__ = ["dbtf_tucker", "TuckerCachedPartition", "update_tucker_factor"]
+__all__ = ["TuckerCachedPartition", "update_tucker_factor"]
 
 
 class TuckerCachedPartition:
@@ -55,7 +46,7 @@ class TuckerCachedPartition:
     full row-summation cache over its ``R_target`` rows.
     """
 
-    __slots__ = ("data", "entries", "n_rows")
+    __slots__ = ("data", "entries")
 
     def __init__(
         self,
@@ -66,7 +57,6 @@ class TuckerCachedPartition:
         group_size: int,
     ):
         self.data = data
-        self.n_rows = data.n_rows
         inner_dense = inner.to_dense().astype(np.int64)
         caches: dict[int, tuple[RowSummationCache, np.ndarray]] = {}
         # (block, cache, sliced tables, coverage rows sliced, tensor words)
@@ -113,7 +103,7 @@ class TuckerCachedPartition:
         Unlike CP, the cache key is the target row's mask alone — the outer
         factor's influence is baked into each block's pattern table.
         """
-        with kernel_span("tucker.columnErrors", rows=self.n_rows,
+        with kernel_span("tucker.columnErrors", rows=masks_if_zero.shape[0],
                          column=column, n_blocks=len(self.entries)):
             return self._column_errors(masks_if_zero, column)
 
@@ -130,8 +120,11 @@ class TuckerCachedPartition:
     def _column_errors(
         self, masks_if_zero: np.ndarray, column: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        error_if_zero = np.zeros(self.n_rows, dtype=np.int64)
-        delta_if_one = np.zeros(self.n_rows, dtype=np.int64)
+        # A partition can hold no blocks (more partitions than unfolded
+        # columns), so the row count comes from the masks, not the data.
+        n_rows = masks_if_zero.shape[0]
+        error_if_zero = np.zeros(n_rows, dtype=np.int64)
+        delta_if_one = np.zeros(n_rows, dtype=np.int64)
         keys = None
         for block, cache, tables, coverage_sliced, tensor_words in self.entries:
             if keys is None:
@@ -203,118 +196,3 @@ def update_tucker_factor(
         data_rdd, build_task, factors, target, runtime, TUCKER_STAGES
     )
     return updated, error_after
-
-
-# Per mode: (outer factor index, inner factor index, core permutation) such
-# that S_u[t, i] = OR_o core_perm[t, i, o] AND u_o with u the outer row.
-_TUCKER_MODE_ROLES = {
-    0: (2, 1, (0, 1, 2)),  # update A: outer C (R3), inner B (R2)
-    1: (2, 0, (1, 0, 2)),  # update B: outer C (R3), inner A (R1)
-    2: (1, 0, (2, 0, 1)),  # update C: outer B (R2), inner A (R1)
-}
-
-
-def dbtf_tucker(
-    tensor: SparseBoolTensor,
-    core_shape: tuple[int, int, int] | None = None,
-    config: BooleanTuckerConfig | None = None,
-    n_partitions: int = 16,
-    cache_group_size: int = 15,
-    runtime: SimulatedRuntime | None = None,
-) -> BooleanTuckerResult:
-    """Distributed Boolean Tucker decomposition (journal-style DBTF).
-
-    Factor updates run through the simulated engine with per-pattern
-    effective-basis caches; core updates run on the driver.  Results match
-    :func:`repro.tucker.boolean_tucker` for the same initialization because
-    both implement the same greedy updates.  Cluster settings come from
-    ``runtime`` (a ``SimulatedRuntime()`` on ``DEFAULT_CLUSTER``, closed
-    afterwards, when none is supplied); results and metered costs are
-    backend-invariant.  ``config.checkpoint`` is refused: checkpointed
-    Tucker runs go through :func:`repro.tucker.boolean_tucker`.
-    """
-    if tensor.ndim != 3:
-        raise ValueError(
-            f"dbtf_tucker factorizes three-way tensors, got {tensor.ndim}-way"
-        )
-    if config is None:
-        if core_shape is None:
-            raise ValueError("either core_shape or config must be provided")
-        config = BooleanTuckerConfig(core_shape=core_shape)
-    if config.checkpoint is not None:
-        raise ValueError(
-            "dbtf_tucker does not checkpoint; use boolean_tucker for "
-            "checkpointed Tucker runs"
-        )
-    if n_partitions <= 0:
-        raise ValueError(f"n_partitions must be positive, got {n_partitions}")
-    owns_runtime = runtime is None
-    if runtime is None:
-        runtime = SimulatedRuntime()
-
-    mode_rdds: list[Distributed] = []
-    try:
-        mode_rdds = prepare_partitioned_unfoldings(tensor, n_partitions, runtime)
-        dense = tensor.to_dense()
-
-        best: BooleanTuckerResult | None = None
-        for restart in range(config.n_initial_sets):
-            rng = np.random.default_rng(config.seed + restart)
-            candidate = _solve_once_distributed(
-                tensor, dense, mode_rdds, config, cache_group_size, runtime, rng
-            )
-            if best is None or candidate.error < best.error:
-                best = candidate
-    finally:
-        for rdd in mode_rdds:
-            rdd.unpersist()
-        if owns_runtime:
-            runtime.close()
-    return best
-
-
-def _solve_once_distributed(
-    tensor: SparseBoolTensor,
-    dense: np.ndarray,
-    mode_rdds: list[Distributed],
-    config: BooleanTuckerConfig,
-    cache_group_size: int,
-    runtime: SimulatedRuntime,
-    rng: np.random.Generator,
-) -> BooleanTuckerResult:
-    factors_dense = list(_sampled_tucker_factors(tensor, config, rng))
-    core = np.zeros(config.core_shape, dtype=np.uint8)
-    for r in range(min(config.core_shape)):
-        core[r, r, r] = 1
-
-    errors: list[int] = []
-    converged = False
-    threshold = config.tolerance * max(tensor.nnz, 1)
-    for _ in range(config.max_iterations):
-        for mode in range(3):
-            outer_index, inner_index, permutation = _TUCKER_MODE_ROLES[mode]
-            updated, _ = update_tucker_factor(
-                mode_rdds[mode],
-                BitMatrix.from_dense(factors_dense[mode]),
-                BitMatrix.from_dense(factors_dense[outer_index]),
-                BitMatrix.from_dense(factors_dense[inner_index]),
-                core.transpose(permutation),
-                cache_group_size,
-                runtime,
-            )
-            factors_dense[mode] = updated.to_dense()
-        core, error = _update_core(dense, core, tuple(factors_dense))
-        if errors and errors[-1] - error <= threshold:
-            errors.append(error)
-            converged = True
-            break
-        errors.append(error)
-
-    return BooleanTuckerResult(
-        core=SparseBoolTensor.from_dense(core),
-        factors=tuple(BitMatrix.from_dense(factor) for factor in factors_dense),
-        error=errors[-1],
-        input_nnz=tensor.nnz,
-        errors_per_iteration=tuple(errors),
-        converged=converged,
-    )

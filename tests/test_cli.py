@@ -101,6 +101,28 @@ class TestFactorize:
                      "--max-iterations", "2"]) == 0
         assert "Tucker" in capsys.readouterr().out
 
+    def test_tucker_backends_agree(self, tensor_file, tmp_path, capsys):
+        path, _ = tensor_file
+        outputs = {}
+        for backend, extra in (("serial", ["--metrics"]), ("process", [])):
+            out = tmp_path / backend
+            assert main(["factorize", str(path), "--method", "tucker",
+                         "--core-shape", "2", "2", "2",
+                         "--max-iterations", "2", "--backend", backend,
+                         "--workers", "2", "--factors-out", str(out),
+                         *extra]) == 0
+            printed = capsys.readouterr().out
+            errors = [line for line in printed.splitlines()
+                      if line.startswith(("error", "relative error"))]
+            factors = {name: (out / name).read_bytes()
+                       for name in ("A.mtx", "B.mtx", "C.mtx")}
+            outputs[backend] = (errors, factors)
+            if extra:
+                # The factor updates ran as stages on the CLI's runtime.
+                assert "tuckerColumnErrors" in printed
+        assert len(outputs["serial"][0]) == 2
+        assert outputs["process"] == outputs["serial"]
+
     def test_nway_cp(self, tensor_file, capsys):
         path, _ = tensor_file
         assert main(["factorize", str(path), "--method", "nway-cp",

@@ -267,8 +267,7 @@ class TestDbtfEquivalence:
 class TestExtensionsUnderBackends:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_tucker_distributed_matches_serial(self, backend):
-        from repro.tucker import BooleanTuckerConfig
-        from repro.tucker.distributed import dbtf_tucker
+        from repro.tucker import BooleanTuckerConfig, boolean_tucker
 
         rng = np.random.default_rng(1)
         tensor, _ = planted_tensor((8, 8, 8), rank=2, factor_density=0.3,
@@ -277,8 +276,7 @@ class TestExtensionsUnderBackends:
 
         def run(name):
             with _runtime(name) as runtime:
-                result = dbtf_tucker(tensor, config=config, n_partitions=3,
-                                     runtime=runtime)
+                result = boolean_tucker(tensor, config=config, runtime=runtime)
             return (
                 tuple(f.words.tobytes() for f in result.factors),
                 result.core.coords.tobytes(),

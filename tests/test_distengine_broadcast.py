@@ -44,7 +44,7 @@ from repro.tensor import (
     planted_tensor,
     unfold,
 )
-from repro.tucker import BooleanTuckerConfig, dbtf_tucker
+from repro.tucker import BooleanTuckerConfig, boolean_tucker
 from repro.tucker.distributed import TuckerCachedPartition
 
 
@@ -367,10 +367,10 @@ class TestWorkerResidentMasks:
         config = BooleanTuckerConfig(core_shape=(3, 3, 3), max_iterations=2)
 
         def run(backend):
-            cluster = ClusterConfig(backend=backend, n_workers=2)
+            cluster = ClusterConfig(n_machines=1, cores_per_machine=5,
+                                    backend=backend, n_workers=2)
             with SimulatedRuntime(cluster) as runtime:
-                result = dbtf_tucker(tensor, config=config, n_partitions=5,
-                                     runtime=runtime)
+                result = boolean_tucker(tensor, config=config, runtime=runtime)
             return (
                 tuple(f.words.tobytes() for f in result.factors),
                 result.core.coords.tobytes(),

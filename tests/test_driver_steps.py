@@ -22,6 +22,11 @@ from repro.tucker import (
 )
 
 
+# Tucker partitions the tensor into one block per slot; four keep these
+# small runs fast (the default cluster has 128 slots).
+TUCKER_CLUSTER = ClusterConfig(n_machines=2, cores_per_machine=2)
+
+
 def make_tensor(seed=0, dim=10):
     tensor, _ = planted_tensor(
         (dim, dim, dim), rank=3, factor_density=0.3,
@@ -132,8 +137,9 @@ class TestTuckerSteps:
     def test_drained_equals_monolithic(self):
         tensor = make_tensor()
         config = BooleanTuckerConfig(core_shape=(2, 2, 2), max_iterations=2)
-        stepped = drive(boolean_tucker_steps(tensor, config))
-        direct = boolean_tucker(tensor, config=config)
+        with SimulatedRuntime(TUCKER_CLUSTER) as runtime:
+            stepped = drive(boolean_tucker_steps(tensor, config, runtime))
+            direct = boolean_tucker(tensor, config=config, runtime=runtime)
         assert stepped.error == direct.error
         assert np.array_equal(
             stepped.core.to_dense(), direct.core.to_dense()
@@ -141,12 +147,23 @@ class TestTuckerSteps:
         for mine, theirs in zip(stepped.factors, direct.factors):
             assert np.array_equal(mine.words, theirs.words)
 
+    def test_close_unpersists(self):
+        tensor = make_tensor()
+        config = BooleanTuckerConfig(core_shape=(2, 2, 2), max_iterations=5)
+        with SimulatedRuntime(TUCKER_CLUSTER) as runtime:
+            steps = boolean_tucker_steps(tensor, config, runtime)
+            next(steps)
+            assert len(runtime._persisted_nodes) > 0
+            steps.close()
+            assert len(runtime._persisted_nodes) == 0
+
     def test_step_encodes_restart_and_iteration(self):
         tensor = make_tensor()
         config = BooleanTuckerConfig(
             core_shape=(2, 2, 2), max_iterations=3, n_initial_sets=2
         )
-        events = list(boolean_tucker_steps(tensor, config))
+        with SimulatedRuntime(TUCKER_CLUSTER) as runtime:
+            events = list(boolean_tucker_steps(tensor, config, runtime))
         # Steps are restart * max_iterations + iteration: strictly
         # increasing across the whole sweep.
         steps = [e.step for e in events]

@@ -70,6 +70,7 @@ class TestFullPipeline:
 
     def test_mdl_and_tucker_agree_on_structure(self):
         """Rank selection + Tucker on the same planted tensor."""
+        from repro.distengine import ClusterConfig, SimulatedRuntime
         from repro.metrics import select_rank
         from repro.tucker import BooleanTuckerConfig, boolean_tucker
 
@@ -78,8 +79,11 @@ class TestFullPipeline:
                                    rng=rng)
         selection = select_rank(tensor, ranks=(1, 2, 4))
         assert selection.best_rank == 2
-        tucker_result = boolean_tucker(
-            tensor,
-            config=BooleanTuckerConfig(core_shape=(2, 2, 2), n_initial_sets=4),
-        )
+        cluster = ClusterConfig(n_machines=2, cores_per_machine=2)
+        with SimulatedRuntime(cluster) as runtime:
+            tucker_result = boolean_tucker(
+                tensor,
+                config=BooleanTuckerConfig(core_shape=(2, 2, 2), n_initial_sets=4),
+                runtime=runtime,
+            )
         assert tucker_result.relative_error < 0.5

@@ -11,9 +11,10 @@ scheduling uses logical clocks only.
 import numpy as np
 import pytest
 
-from repro.distengine import DEFAULT_CLUSTER
+from repro.distengine import DEFAULT_CLUSTER, ClusterConfig, SimulatedRuntime
 from repro.service import FactorizationService, JobSpec, JobState, ServiceConfig
 from repro.tensor import planted_tensor
+from repro.tucker import BooleanTuckerConfig, boolean_tucker
 
 BACKENDS = ["serial", "thread", "process"]
 
@@ -40,10 +41,11 @@ def make_specs(tensor):
     return specs
 
 
-def run_service(specs, root, backend, kill_after=None):
+def run_service(specs, root, backend, kill_after=None,
+                cluster=DEFAULT_CLUSTER):
     """Run specs under one service; return results if drained, else None."""
     config = ServiceConfig(
-        cluster=DEFAULT_CLUSTER.with_backend(backend, 2),
+        cluster=cluster.with_backend(backend, 2),
         checkpoint_root=root,
         max_live_jobs=3,
     )
@@ -149,3 +151,40 @@ class TestFairnessAtDrain:
                 service.drain()
                 vtimes[backend] = service.scheduler.snapshot()
         assert vtimes["serial"] == vtimes["thread"] == vtimes["process"]
+
+
+class TestTuckerJob:
+    def test_kill_and_resubmit_on_the_shared_pool(self, tmp_path):
+        tensor = make_tensor(seed=4)
+        spec = JobSpec(tenant="t", tensor=tensor, method="tucker", rank=2,
+                       max_iterations=3, n_initial_sets=2, seed=1)
+        # Tucker partitions into one block per slot; four keep this fast.
+        cluster = ClusterConfig(n_machines=2, cores_per_machine=2)
+        baseline = run_service([spec], tmp_path / "base", "serial",
+                               cluster=cluster)
+        root = tmp_path / "killed"
+        # Three of four quanta: the first restart converges after two
+        # iterations, so the kill lands inside the second restart.
+        assert run_service([spec], root, "serial", kill_after=3,
+                           cluster=cluster) is None
+        resumed = run_service([spec], root, "serial", cluster=cluster)
+        assert_same_results(resumed, baseline)
+        (result,) = resumed.values()
+        config = BooleanTuckerConfig(
+            core_shape=(2, 2, 2), max_iterations=3, n_initial_sets=2, seed=1,
+        )
+        with SimulatedRuntime(cluster) as runtime:
+            direct = boolean_tucker(tensor, config=config, runtime=runtime)
+        assert result.core == direct.core
+        assert result.errors_per_iteration == direct.errors_per_iteration
+
+    def test_bills_shuffle_bytes(self, tmp_path):
+        spec = JobSpec(tenant="t", tensor=make_tensor(), method="tucker",
+                       rank=2, max_iterations=2)
+        config = ServiceConfig(checkpoint_root=tmp_path)
+        with FactorizationService(config) as service:
+            service.submit(spec)
+            service.drain()
+            assert service.metrics.value(
+                "tenant_shuffle_bytes_total", tenant="t"
+            ) > 0

@@ -1,18 +1,32 @@
 """Unit and integration tests for the Boolean Tucker extension."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.bitops import BitMatrix
-from repro.tensor import SparseBoolTensor, planted_tensor
+from repro.distengine import ClusterConfig, SimulatedRuntime
+from repro.tensor import SparseBoolTensor
 from repro.tucker import (
     BooleanTuckerConfig,
     BooleanTuckerResult,
     boolean_tucker,
-    dbtf_tucker,
     tucker_reconstruct,
 )
 from repro.tucker.decompose import _reconstruct_dense
+
+from .algorithm4_oracle import dense_tucker
+
+# The solver partitions the tensor into one block per slot; four keep
+# these small tensors fast (the default cluster has 128 slots).
+SMALL_CLUSTER = ClusterConfig(n_machines=2, cores_per_machine=2)
+
+
+@pytest.fixture
+def runtime():
+    with SimulatedRuntime(SMALL_CLUSTER) as runtime:
+        yield runtime
 
 
 def planted_tucker(shape, core_shape, factor_density, core_density, seed):
@@ -78,25 +92,26 @@ class TestReconstruction:
 
 class TestBooleanTucker:
     def test_error_matches_reconstruction(self):
+        # The one call here on the default runtime (owned and closed).
         tensor, _, _ = planted_tucker((16, 16, 16), (2, 2, 2), 0.3, 0.5, seed=2)
         result = boolean_tucker(tensor, core_shape=(2, 2, 2))
         assert result.error == tensor.hamming_distance(result.reconstruct())
 
-    def test_recovers_planted_structure(self):
+    def test_recovers_planted_structure(self, runtime):
         tensor, _, _ = planted_tucker((24, 24, 24), (3, 3, 3), 0.25, 0.4, seed=0)
         config = BooleanTuckerConfig(core_shape=(3, 3, 3), n_initial_sets=6)
-        result = boolean_tucker(tensor, config=config)
+        result = boolean_tucker(tensor, config=config, runtime=runtime)
         assert result.relative_error < 0.35
 
-    def test_errors_monotone(self):
+    def test_errors_monotone(self, runtime):
         tensor, _, _ = planted_tucker((16, 16, 16), (2, 3, 2), 0.3, 0.5, seed=3)
-        result = boolean_tucker(tensor, core_shape=(2, 3, 2))
+        result = boolean_tucker(tensor, core_shape=(2, 3, 2), runtime=runtime)
         errors = result.errors_per_iteration
         assert all(a >= b for a, b in zip(errors, errors[1:]))
 
-    def test_non_cubic_core(self):
+    def test_non_cubic_core(self, runtime):
         tensor, _, _ = planted_tucker((12, 14, 10), (2, 3, 4), 0.3, 0.4, seed=4)
-        result = boolean_tucker(tensor, core_shape=(2, 3, 4))
+        result = boolean_tucker(tensor, core_shape=(2, 3, 4), runtime=runtime)
         assert result.core.shape == (2, 3, 4)
         assert result.factors[0].shape == (12, 2)
         assert result.factors[1].shape == (14, 3)
@@ -107,31 +122,34 @@ class TestBooleanTucker:
         assert result.error == 0
         assert result.core.nnz == 0
 
-    def test_more_restarts_never_worse(self):
+    def test_more_restarts_never_worse(self, runtime):
         tensor, _, _ = planted_tucker((16, 16, 16), (3, 3, 3), 0.3, 0.4, seed=5)
         single = boolean_tucker(
-            tensor, config=BooleanTuckerConfig(core_shape=(3, 3, 3), n_initial_sets=1)
+            tensor, config=BooleanTuckerConfig(core_shape=(3, 3, 3), n_initial_sets=1),
+            runtime=runtime,
         )
         multi = boolean_tucker(
-            tensor, config=BooleanTuckerConfig(core_shape=(3, 3, 3), n_initial_sets=4)
+            tensor, config=BooleanTuckerConfig(core_shape=(3, 3, 3), n_initial_sets=4),
+            runtime=runtime,
         )
         assert multi.error <= single.error
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, runtime):
         tensor, _, _ = planted_tucker((12, 12, 12), (2, 2, 2), 0.3, 0.5, seed=6)
-        first = boolean_tucker(tensor, core_shape=(2, 2, 2))
-        second = boolean_tucker(tensor, core_shape=(2, 2, 2))
+        first = boolean_tucker(tensor, core_shape=(2, 2, 2), runtime=runtime)
+        second = boolean_tucker(tensor, core_shape=(2, 2, 2), runtime=runtime)
         assert first.error == second.error
         assert first.factors == second.factors
 
-    def test_tucker_beats_cp_on_dense_core_structure(self):
+    def test_tucker_beats_cp_on_dense_core_structure(self, runtime):
         # A full 2x2x2 core needs rank-8 CP but only 2 columns per Tucker
         # factor; at matched factor budget Tucker should fit better.
         from repro import dbtf
 
         tensor, _, _ = planted_tucker((20, 20, 20), (2, 2, 2), 0.3, 1.0, seed=7)
         tucker_result = boolean_tucker(
-            tensor, config=BooleanTuckerConfig(core_shape=(2, 2, 2), n_initial_sets=4)
+            tensor, config=BooleanTuckerConfig(core_shape=(2, 2, 2), n_initial_sets=4),
+            runtime=runtime,
         )
         cp_result = dbtf(tensor, rank=2, seed=0, n_partitions=4, n_initial_sets=4)
         assert tucker_result.error <= cp_result.error
@@ -170,22 +188,57 @@ class TestBooleanTucker:
         assert result.relative_error == 3.0
 
 
+def _digest(factors, core_coords, errors):
+    h = hashlib.sha256()
+    for factor in factors:
+        h.update(factor.words.tobytes())
+    h.update(core_coords.tobytes())
+    h.update(repr(tuple(errors)).encode())
+    return h.hexdigest()[:16]
+
+
 class TestDistributedMatchesDense:
-    """``dbtf_tucker`` and ``boolean_tucker`` run the same greedy updates
-    from the same initialization stream, so they must agree exactly."""
+    """The engine-backed solver runs the dense oracle's greedy updates from
+    the same initialization stream, so the two must agree exactly; and
+    every case still gives the same bits as the dense single-machine
+    solver it replaced (its factor words, core coords and error trace,
+    digested)."""
+
+    DENSE_SOLVER_DIGESTS = {
+        ((2, 2, 2), 1, 0): "801f1a1f356ce2c4",
+        ((2, 2, 2), 1, 1): "d40c52dacc9ddc21",
+        ((2, 2, 2), 1, 2): "a96c552c34be7e24",
+        ((2, 2, 2), 1, 3): "be0523969a172500",
+        ((2, 2, 2), 2, 0): "4ceb574bd5d5dbfc",
+        ((2, 2, 2), 2, 1): "d3d016f1b210fb57",
+        ((2, 2, 2), 2, 2): "a96c552c34be7e24",
+        ((2, 2, 2), 2, 3): "be0523969a172500",
+        ((3, 2, 4), 1, 0): "9fac31208cf08915",
+        ((3, 2, 4), 1, 1): "92a78c0cbf186347",
+        ((3, 2, 4), 1, 2): "60c90a31b54e3871",
+        ((3, 2, 4), 1, 3): "01b2209c1439f1b0",
+        ((3, 2, 4), 2, 0): "9a4a60671eeb3bd6",
+        ((3, 2, 4), 2, 1): "92a78c0cbf186347",
+        ((3, 2, 4), 2, 2): "60c90a31b54e3871",
+        ((3, 2, 4), 2, 3): "5ff8cf9bbdc18107",
+    }
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n_initial_sets", [1, 2])
     @pytest.mark.parametrize("core_shape", [(2, 2, 2), (3, 2, 4)])
-    def test_same_decomposition(self, core_shape, n_initial_sets, seed):
+    def test_same_decomposition(self, core_shape, n_initial_sets, seed,
+                                runtime):
         tensor, _, _ = planted_tucker((20, 18, 16), core_shape, 0.3, 0.5, seed)
         config = BooleanTuckerConfig(
             core_shape=core_shape, n_initial_sets=n_initial_sets, seed=seed
         )
-        dense = boolean_tucker(tensor, config=config)
-        distributed = dbtf_tucker(tensor, config=config, n_partitions=4)
-        assert [f.words.tobytes() for f in distributed.factors] == [
-            f.words.tobytes() for f in dense.factors
+        result = boolean_tucker(tensor, config=config, runtime=runtime)
+        factors, core, errors = dense_tucker(tensor, config)
+        assert [f.to_dense().tobytes() for f in result.factors] == [
+            factor.tobytes() for factor in factors
         ]
-        assert np.array_equal(distributed.core.coords, dense.core.coords)
-        assert distributed.errors_per_iteration == dense.errors_per_iteration
+        assert result.core == SparseBoolTensor.from_dense(core)
+        assert result.errors_per_iteration == errors
+        assert _digest(
+            result.factors, result.core.coords, result.errors_per_iteration
+        ) == self.DENSE_SOLVER_DIGESTS[(core_shape, n_initial_sets, seed)]

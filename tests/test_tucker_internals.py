@@ -1,14 +1,10 @@
-"""Unit tests for Boolean Tucker solver internals."""
+"""Unit tests for Boolean Tucker solver internals and the dense oracle."""
 
 import numpy as np
-import pytest
 
-from repro.tucker.decompose import (
-    _coverage_slabs,
-    _reconstruct_dense,
-    _update_core,
-    _update_factor_dense,
-)
+from repro.tucker.decompose import _reconstruct_dense, _update_core
+
+from .algorithm4_oracle import coverage_slabs, update_factor_dense
 
 
 class TestCoverageSlabs:
@@ -17,7 +13,7 @@ class TestCoverageSlabs:
         core = (rng.random((2, 3, 2)) < 0.5).astype(np.uint8)
         second = (rng.random((5, 3)) < 0.5).astype(np.uint8)
         third = (rng.random((4, 2)) < 0.5).astype(np.uint8)
-        slabs = _coverage_slabs(core, second, third)
+        slabs = coverage_slabs(core, second, third)
         assert slabs.shape == (2, 5, 4)
         for p in range(2):
             for j in range(5):
@@ -33,7 +29,7 @@ class TestCoverageSlabs:
         core = np.zeros((2, 2, 2), dtype=np.uint8)
         second = np.ones((3, 2), dtype=np.uint8)
         third = np.ones((3, 2), dtype=np.uint8)
-        assert not _coverage_slabs(core, second, third).any()
+        assert not coverage_slabs(core, second, third).any()
 
 
 class TestUpdateFactorDense:
@@ -44,9 +40,9 @@ class TestUpdateFactorDense:
         c = (rng.random((4, 1)) < 0.6).astype(np.uint8)
         a_true = (rng.random((4, 1)) < 0.6).astype(np.uint8)
         dense = _reconstruct_dense(core, (a_true, b, c))
-        slabs = _coverage_slabs(core, b, c)
+        slabs = coverage_slabs(core, b, c)
         start = np.zeros((4, 1), dtype=np.uint8)
-        updated, error = _update_factor_dense(
+        updated, error = update_factor_dense(
             dense.reshape(4, -1), start, slabs.reshape(1, -1)
         )
         # With the true B, C and core, the exact A is recoverable whenever
@@ -62,9 +58,9 @@ class TestUpdateFactorDense:
         b = (rng.random((5, 2)) < 0.5).astype(np.uint8)
         c = (rng.random((5, 2)) < 0.5).astype(np.uint8)
         dense = _reconstruct_dense(core, (a, b, c))
-        slabs = _coverage_slabs(core, b, c)
+        slabs = coverage_slabs(core, b, c)
         start = (rng.random((5, 2)) < 0.5).astype(np.uint8)
-        updated, error = _update_factor_dense(
+        updated, error = update_factor_dense(
             dense.reshape(5, -1), start, slabs.reshape(2, -1)
         )
         reconstructed = _reconstruct_dense(core, (updated, b, c))
